@@ -13,6 +13,7 @@ Usage (also available as ``python -m repro``)::
 """
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -29,6 +30,27 @@ def _add_workload_args(parser, with_threads=True):
         parser.add_argument("--threads", type=int, default=2)
     parser.add_argument("--scale", type=float, default=0.01,
                         help="instruction-budget scale (1.0 = full size)")
+
+
+def _checked(convert, ok, what):
+    """An argparse ``type``: convert, then reject (exit 2) any value that
+    is not finite or fails ``ok``, saying it must be ``what``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not math.isfinite(value) or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_positive = _checked(float, lambda v: v > 0, "a positive number")
+_non_negative = _checked(float, lambda v: v >= 0, "a non-negative number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "lives and when it migrates")
     serve.add_argument("--seed", type=int, default=7,
                        help="trace seed (same seed = bit-identical trace)")
-    serve.add_argument("--requests", type=int, default=8000,
+    serve.add_argument("--requests", type=_positive_int, default=8000,
                        help="total requests in the trace (conserved by "
                        "every shape)")
-    serve.add_argument("--horizon", type=float, default=20.0, metavar="S",
+    serve.add_argument("--horizon", type=_positive, default=20.0, metavar="S",
                        help="trace horizon in simulated seconds")
-    serve.add_argument("--slo-ms", type=float, default=None, metavar="MS",
+    serve.add_argument("--slo-ms", type=_positive, default=None, metavar="MS",
                        help="end-to-end latency SLO in milliseconds "
                        "(default: 10)")
     serve.add_argument("--out", default=None, metavar="PATH",
@@ -195,10 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--crash", default="arm", choices=("x86", "arm"),
                        help="which node dies (default: arm — the "
                        "latency-aware policy's home)")
-    serve.add_argument("--crash-at", type=float, default=None, metavar="T",
+    serve.add_argument("--crash-at", type=_non_negative, default=None,
+                       metavar="T",
                        help="crash time in seconds (default: 40%% of the "
                        "trace horizon)")
-    serve.add_argument("--repair-after", type=float, default=None,
+    serve.add_argument("--repair-after", type=_non_negative, default=None,
                        metavar="T", help="repair delay in seconds "
                        "(default: 30%% of the trace horizon)")
     serve.add_argument("--permanent", action="store_true",
@@ -208,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "failure detector (measured MTTD, false "
                        "suspicions/confirms in the report) instead of "
                        "omniscient instant failover")
-    serve.add_argument("--heartbeat", type=float, default=0.5, metavar="S",
+    serve.add_argument("--heartbeat", type=_positive, default=0.5, metavar="S",
                        help="detector heartbeat period in seconds")
-    serve.add_argument("--lease", type=float, default=1.5, metavar="S",
+    serve.add_argument("--lease", type=_non_negative, default=1.5, metavar="S",
                        help="suspicion-to-confirm lease in seconds")
     serve.add_argument("--resilient", action="store_true",
                        help="attach the resilience layer: request "

@@ -91,6 +91,12 @@ class Job:
         return f"Job#{self.job_id}({self.spec}, {self.state.value})"
 
 
+#: Seconds to transform one thread's stack to the destination ISA.
+TRANSFORM_S_PER_THREAD = 0.0006
+#: Seconds for one kernel hand-off message (per migrating thread).
+HANDOFF_MESSAGE_S = 0.0002
+
+
 def migration_penalty(spec: JobSpec, interconnect_bw: float) -> float:
     """Seconds a migration costs a job.
 
@@ -100,8 +106,8 @@ def migration_penalty(spec: JobSpec, interconnect_bw: float) -> float:
     working-set pull at interconnect bandwidth.
     """
     response = 0.010  # ~half a 50M-instruction quantum
-    transform = 0.0006 * spec.threads
-    handoff = 0.0002 * spec.threads
+    transform = TRANSFORM_S_PER_THREAD * spec.threads
+    handoff = HANDOFF_MESSAGE_S * spec.threads
     footprint = spec.profile().params(spec.cls).footprint_bytes
     dsm_pull = footprint / interconnect_bw
     return response + transform + handoff + dsm_pull

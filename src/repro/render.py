@@ -1,11 +1,9 @@
 """One shared plain-text rendering module for every report surface.
 
-Tables, ASCII bar series, counter digests and timeline lines used to
-be re-implemented ad hoc in ``analysis.report`` and each ``telemetry``
-log; they live here now so every benchmark table, lint summary,
-validation digest and fault timeline prints through one consistent,
-diffable formatter.  ``repro.analysis.report`` re-exports the table and
-series helpers for existing callers.
+Tables, ASCII bar series, counter digests and timeline lines live
+here so every benchmark table, lint summary, validation digest and
+fault timeline prints through one consistent, diffable formatter.
+``repro.analysis`` re-exports the table and series helpers.
 """
 
 import math

@@ -14,7 +14,6 @@ p50/p99/p999 and violation numbers.  See ``docs/serving.md``.
 """
 
 from repro.serving.engine import (
-    EngineConfig,
     HandoffCosts,
     Request,
     ServingEngine,
@@ -65,7 +64,6 @@ __all__ = [
     "CircuitBreaker",
     "DEFAULT_SLO_S",
     "Decision",
-    "EngineConfig",
     "HandoffCosts",
     "PriorityClass",
     "ResilienceConfig",

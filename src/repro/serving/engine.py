@@ -51,14 +51,20 @@ audited for request conservation: *offered == completed + shed +
 failed-loudly*, each request in exactly one bucket.
 """
 
-import dataclasses
+from bisect import bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import validate
 from repro.datacenter.cluster import DEFAULT_INTERCONNECT_BW
 from repro.datacenter.energy import RunResult
-from repro.datacenter.job import JobSpec, job_duration
+from repro.datacenter.job import (
+    HANDOFF_MESSAGE_S,
+    TRANSFORM_S_PER_THREAD,
+    JobSpec,
+    job_duration,
+)
 from repro.faults.detector import CONFIRM, FailureDetector
 from repro.faults.inject import FaultSchedule
 from repro.machine.machine import Machine, make_xeon_e5_1650v2, make_xgene1
@@ -73,8 +79,22 @@ from repro.serving.resilience import (
 )
 from repro.serving.slo import DEFAULT_SLO_S, slo_report
 from repro.serving.traffic import ArrivalTrace
+from repro.sim.events import Event, EventQueue
 from repro.sim.rng import DeterministicRng
 from repro.validate.errors import InvariantViolation
+
+#: Seconds between policy decision epochs.
+DECISION_PERIOD_S = 0.05
+#: Trailing window for the arrival-rate estimate policies see.
+RATE_WINDOW_S = 0.5
+
+# Event priorities: same-time events fire in this order.  Arrivals are
+# served from a cursor over the trace, not the queue, but keep their
+# slot in the order.
+(
+    _HANDOFF, _DEPARTURE, _HEDGE_DONE, _FAULT, _ARRIVAL,
+    _RETRY, _DEADLINE, _HEDGE_LAUNCH, _HEARTBEAT, _EPOCH,
+) = range(10)
 
 
 @dataclass
@@ -118,12 +138,20 @@ class Request:
 
 @dataclass(frozen=True)
 class HandoffCosts:
-    """Cost model of one live service hand-off (mirrors the kernel's
-    two-phase protocol constants in ``datacenter.job.migration_penalty``)."""
+    """Cost model of one live service hand-off: the kernel's two-phase
+    protocol, priced with the per-thread transform and message costs
+    ``datacenter.job.migration_penalty`` charges.
 
-    transform_s: float = 0.0006  # single-threaded stack transform
-    transfer_base_s: float = 0.0002  # the resume-token message
-    publish_s: float = 0.0002  # replicated proc-table write
+    After COMMIT the destination holds only the ``hot_fraction`` pushed
+    in TRANSFER; the first ``warmup_requests`` requests served there
+    pull the cold rest on demand, each paying an equal share.  After a
+    cold failover (the source died with the hot set) the same count of
+    requests amortises the full footprint instead.
+    """
+
+    transform_s: float = TRANSFORM_S_PER_THREAD  # single-threaded service
+    transfer_base_s: float = HANDOFF_MESSAGE_S  # the resume-token message
+    publish_s: float = HANDOFF_MESSAGE_S  # replicated proc-table write
     commit_s: float = 0.0001  # destination rebind
     hot_fraction: float = 0.1  # working set pushed eagerly in TRANSFER
     warmup_requests: int = 64  # requests sharing the residual DSM pull
@@ -145,41 +173,6 @@ class HandoffCosts:
         """Per-request surcharge amortising the residual on-demand pull."""
         cold = (1.0 - self.hot_fraction) * footprint_bytes / bandwidth
         return cold / self.warmup_requests
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Engine-level tuning knobs (separate from the hand-off cost model).
-
-    Pass one to :class:`ServingEngine` to override the legacy keyword
-    arguments; when omitted, the engine builds an equivalent config
-    from them, so existing callers see no change.
-    """
-
-    #: How many post-COMMIT requests share the residual DSM warm-up
-    #: surcharge after a hand-off.  The destination receives only the
-    #: ``hot_fraction`` of the working set eagerly during TRANSFER; the
-    #: remaining cold pages are pulled on demand by the first requests
-    #: served there, so each of the next ``dsm_warmup_requests``
-    #: requests pays ``(1 - hot_fraction) * footprint / bandwidth /
-    #: dsm_warmup_requests`` extra service time.  After a crash
-    #: *failover* (no TRANSFER happened — the source died with the hot
-    #: set) the same count of requests amortises the **full** footprint
-    #: instead.  Historically hard-coded to 64 in
-    #: :class:`HandoffCosts`; see ``docs/serving.md``.
-    dsm_warmup_requests: int = 64
-    #: Seconds between policy decision epochs.
-    decision_period_s: float = 0.05
-    #: Trailing window for the arrival-rate estimate policies see.
-    rate_window_s: float = 0.5
-
-    def __post_init__(self):
-        if self.dsm_warmup_requests < 1:
-            raise ValueError("dsm_warmup_requests must be >= 1")
-        if self.decision_period_s <= 0:
-            raise ValueError("decision period must be positive")
-        if self.rate_window_s <= 0:
-            raise ValueError("rate window must be positive")
 
 
 @dataclass(frozen=True)
@@ -216,9 +209,7 @@ class _Handoff:
     decided_at: float
     reason: str
     phase: str = "drain"  # drain -> blackout phases -> (committed)
-    next_at: Optional[float] = None
     blackout_start: Optional[float] = None
-    commit_at: Optional[float] = None
     phase_ends: List[Tuple[str, float]] = field(default_factory=list)
     #: Chaos-announced phase boundaries still to step through.
     pending: List[Tuple[str, float]] = field(default_factory=list)
@@ -235,16 +226,8 @@ class ServingEngine:
         trace: ArrivalTrace,
         workload: str = "redis",
         cls: str = "A",
-        machines: Optional[List[Machine]] = None,
         slo_s: float = DEFAULT_SLO_S,
-        decision_period_s: float = 0.05,
-        rate_window_s: float = 0.5,
-        interconnect_bw: float = DEFAULT_INTERCONNECT_BW,
-        project_arm_finfet: bool = True,
-        costs: Optional[HandoffCosts] = None,
         tracer=None,
-        start_machine: Optional[str] = None,
-        config: Optional[EngineConfig] = None,
         faults: Optional[FaultSchedule] = None,
         detector: Optional[FailureDetector] = None,
         resilience: Optional[ResilienceConfig] = None,
@@ -261,33 +244,18 @@ class ServingEngine:
         self.trace = trace
         self.spec = JobSpec(workload, cls, 1)
         self.slo_s = slo_s
-        self.costs = costs if costs is not None else HandoffCosts()
-        if config is None:
-            config = EngineConfig(
-                dsm_warmup_requests=self.costs.warmup_requests,
-                decision_period_s=decision_period_s,
-                rate_window_s=rate_window_s,
-            )
-        else:
-            self.costs = dataclasses.replace(
-                self.costs, warmup_requests=config.dsm_warmup_requests
-            )
-        self.config = config
-        self.decision_period_s = config.decision_period_s
-        self.rate_window_s = config.rate_window_s
-        self.interconnect_bw = interconnect_bw
-        if machines is None:
-            machines = [make_xgene1("arm-server"), make_xeon_e5_1650v2("x86-server")]
-        if len(machines) < 2:
-            raise ValueError("serving needs the heterogeneous machine pair")
+        self.costs = HandoffCosts()
+        self.interconnect_bw = DEFAULT_INTERCONNECT_BW
+        machines = [make_xgene1("arm-server"), make_xeon_e5_1650v2("x86-server")]
         self.machines: Dict[str, Machine] = {m.name: m for m in machines}
         self._isa_by_machine = {m.name: m.isa.name for m in machines}
-        self._powers = {}
-        for machine in machines:
-            power = machine.power
-            if project_arm_finfet and machine.isa.name == "arm64":
-                power = project_finfet(power)
-            self._powers[machine.name] = power
+        # ARM through the McPAT FinFET projection, as in the cluster.
+        self._powers = {
+            m.name: (
+                project_finfet(m.power) if m.isa.name == "arm64" else m.power
+            )
+            for m in machines
+        }
         self.service_s = {
             m.name: job_duration(self.spec, m)
             / self.spec.profile().params(cls).elements
@@ -295,19 +263,16 @@ class ServingEngine:
         }
         footprint = self.spec.profile().params(cls).footprint_bytes
         self._footprint = footprint
-        self.blackout_estimate_s = self.costs.blackout_s(footprint, interconnect_bw)
+        bw = self.interconnect_bw
+        self.blackout_estimate_s = self.costs.blackout_s(footprint, bw)
         #: Per-request warm-up after a normal hand-off (cold fraction).
-        self._warmup_normal = self.costs.warmup_extra_s(footprint, interconnect_bw)
+        self._warmup_normal = self.costs.warmup_extra_s(footprint, bw)
         #: Per-request warm-up after a cold failover (full footprint —
         #: the source died before TRANSFER could push the hot set).
-        self._warmup_cold = footprint / interconnect_bw / self.costs.warmup_requests
+        self._warmup_cold = footprint / bw / self.costs.warmup_requests
         self._warmup_extra = self._warmup_normal
 
-        self.location = (
-            start_machine
-            if start_machine is not None
-            else policy.start_machine(self._isa_by_machine)
-        )
+        self.location = policy.start_machine(self._isa_by_machine)
         if self.location not in self.machines:
             raise KeyError(f"unknown start machine {self.location!r}")
 
@@ -339,17 +304,16 @@ class ServingEngine:
             if resilience is not None
             else None
         )
-        self._retry_stream = None
-        self._priority_stream = None
+        self._retry_stream = self.rng.stream("serve.retry")
+        self._priority_stream = self.rng.stream("serve.priority")
         #: node -> crash-killed requests awaiting the detector verdict.
         self._orphans: Dict[str, List[Request]] = {}
         #: (ready_at, request) replays waiting out their backoff.
         self._retries: List[Tuple[float, Request]] = []
-        self._fault_events = self._expand_faults(faults)
-        self._fault_idx = 0
         self._degradations: List = []  # active LinkDegradation events
         self._partitions: List = []  # active NetworkPartition events
-        self._next_hb = detector.period if detector is not None else 0.0
+        self._fault_events = self._expand_faults(faults)
+        self._fault_idx = 0
         if detector is not None:
             detector.reset(sorted(self.machines), 0.0)
         self._failover_warm = False
@@ -359,17 +323,23 @@ class ServingEngine:
         self._retried_indices = set()
         self._retry_attempts = 0
         self._hedged_count = 0
-        self._timed_out = 0
 
         # ---- mutable run state ----
         self.now = 0.0
-        self.queue: List[Request] = []  # FIFO; index 0 is next
-        self._queue_head = 0  # pop pointer (avoids O(n) pops)
+        self._events = EventQueue()
+        #: priority -> the one pending event of that kind.
+        self._timers: Dict[int, Event] = {}
+        #: Handler of each event kind, indexed by priority.
+        self._actions = (
+            self._on_handoff_timer, self._on_departure,
+            self._on_hedge_departure, self._apply_due_faults, None,
+            self._release_retries, self._expire_deadlines,
+            self._launch_hedge, self._heartbeat_round, self._run_epoch,
+        )
+        self.queue: Deque[Request] = deque()  # FIFO; index 0 is next
         self.current: Optional[Request] = None
-        self._service_end = 0.0
         self._handoff: Optional[_Handoff] = None
         self._hedge: Optional[Request] = None
-        self._hedge_end = 0.0
         self._hedge_machine: Optional[str] = None
         self._warmup_left = 0
         self._last_commit = -1e9
@@ -386,41 +356,45 @@ class ServingEngine:
         self.energy_joules = {m.name: 0.0 for m in machines}
         #: (start, end, handoff_span_id) of every completed blackout.
         self._blackouts: List[Tuple[float, float, Optional[int]]] = []
+        #: Their end times, ascending: a request's stall scan starts at
+        #: the first blackout that ended after it arrived.
+        self._blackout_ends: List[float] = []
 
     # ------------------------------------------------------------ helpers
 
-    def _expand_faults(self, faults) -> List[Tuple[float, int, str, object]]:
-        """Flatten a FaultSchedule into sorted (time, rank, action, payload)."""
+    def _expand_faults(self, faults) -> List[Tuple[float, int, object, Callable]]:
+        """Flatten a FaultSchedule into sorted ``(time, rank, payload,
+        apply)``; same-time faults apply crash, repair (rank 1), window
+        opens, window closes."""
         if faults is None:
             return []
-        events: List[Tuple[float, int, str, object]] = []
+        events = []
         for ev in faults:
             kind = getattr(ev, "kind", None)
+            if kind in ("crash", "repair") and ev.node not in self.machines:
+                verb = "crashes" if kind == "crash" else "repairs"
+                raise ValueError(
+                    f"fault schedule {verb} unknown machine {ev.node!r}"
+                )
             if kind == "crash":
-                if ev.node not in self.machines:
-                    raise ValueError(
-                        f"fault schedule crashes unknown machine {ev.node!r}"
-                    )
-                events.append((ev.time, 0, "crash", ev.node))
+                events.append((ev.time, 0, ev.node, self._on_node_crash))
                 if not ev.permanent:
-                    events.append(
-                        (ev.time + ev.repair_seconds, 1, "repair", ev.node)
-                    )
+                    events.append((ev.time + ev.repair_seconds, 1, ev.node,
+                                   self._on_node_repair))
             elif kind == "repair":
-                if ev.node not in self.machines:
-                    raise ValueError(
-                        f"fault schedule repairs unknown machine {ev.node!r}"
-                    )
-                events.append((ev.time, 1, "repair", ev.node))
-            elif kind == "degrade":
-                events.append((ev.time, 2, "degrade-on", ev))
-                events.append((ev.time + ev.duration, 3, "degrade-off", ev))
-            elif kind == "partition":
-                events.append((ev.time, 2, "part-on", ev))
-                events.append((ev.time + ev.duration, 3, "part-off", ev))
+                events.append((ev.time, 1, ev.node, self._on_node_repair))
+            elif kind in ("degrade", "partition"):
+                active = (
+                    self._degradations if kind == "degrade" else self._partitions
+                )
+                events.append((ev.time, 2, ev, active.append))
+                events.append((ev.time + ev.duration, 3, ev, active.remove))
             else:
                 raise ValueError(f"serving cannot apply fault event {ev!r}")
-        return sorted(events, key=lambda e: (e[0], e[1], str(e[3])))
+        events.sort(key=lambda e: (e[0], e[1], str(e[2])))
+        if events and events[0][0] < 0:
+            raise ValueError(f"fault schedule acts before t=0: {events[0]!r}")
+        return events
 
     def _avail(self, name: str) -> bool:
         """Is the node up and unfenced (usable for serving)?"""
@@ -437,8 +411,6 @@ class ServingEngine:
 
     def _current_bw(self) -> float:
         """Interconnect bandwidth under active degradation windows."""
-        if not self._degradations:
-            return self.interconnect_bw
         bw = self.interconnect_bw
         for ev in self._degradations:
             bw *= ev.bandwidth_factor
@@ -449,10 +421,8 @@ class ServingEngine:
         if self.chaos is None:
             return
         if roles is None:
-            roles = {"serving": self.location}
-            other = [m for m in sorted(self.machines) if m != self.location]
-            if other:
-                roles["standby"] = other[0]
+            standby = next(m for m in sorted(self.machines) if m != self.location)
+            roles = {"serving": self.location, "standby": standby}
         self.chaos.at_step(step, roles)
 
     def inject_crash(self, node: str) -> None:
@@ -461,24 +431,34 @@ class ServingEngine:
             raise KeyError(f"unknown machine {node!r}")
         self._on_node_crash(node)
 
-    def _queue_depth(self) -> int:
-        return len(self.queue) - self._queue_head
+    def _set_timer(self, priority: int, at: Optional[float]) -> None:
+        """Aim the one pending event of ``priority`` at ``at``.
 
-    def _pop_queue(self) -> Request:
-        request = self.queue[self._queue_head]
-        self._queue_head += 1
-        if self._queue_head > 4096 and self._queue_head * 2 > len(self.queue):
-            del self.queue[: self._queue_head]
-            self._queue_head = 0
-        return request
+        ``None`` disarms it.  A stale timer is cancelled rather than
+        left to fire: every event splits the energy integral.
+        """
+        timers = self._timers
+        old = timers.get(priority)
+        if old is not None:
+            if old.time == at:
+                return
+            old.cancel()
+            del timers[priority]
+        if at is not None:
+            timers[priority] = self._events.push(
+                at, self._actions[priority], priority=priority
+            )
 
-    def _push_front(self, request: Request) -> None:
-        """Re-insert a replayed request at the head (it is the oldest)."""
-        if self._queue_head > 0:
-            self._queue_head -= 1
-            self.queue[self._queue_head] = request
-        else:
-            self.queue.insert(0, request)
+    def _work_left(self) -> bool:
+        """Is anything still queued, in flight, or awaiting a replay?"""
+        return bool(
+            self.queue
+            or self.current is not None
+            or self._hedge is not None
+            or self._handoff is not None
+            or self._retries
+            or self._orphans
+        )
 
     def _rate_between(self, t0: float, t1: float) -> float:
         if t1 <= t0:
@@ -517,7 +497,7 @@ class ServingEngine:
         """Begin serving the head-of-queue request (if any, and allowed)."""
         if self.current is not None or self._handoff is not None:
             return
-        if self._queue_depth() == 0:
+        if not self.queue:
             return
         if not self._up[self.location] or self.location in self._fenced:
             return  # home is down; failover/repair will resume service
@@ -527,7 +507,7 @@ class ServingEngine:
             self._site("serve.serve")
             if not self._avail(self.location):
                 return  # the chaos crash fired at the serve site
-        request = self._pop_queue()
+        request = self.queue.popleft()
         request.start_s = self.now
         request.machine = self.location
         request.attempts += 1
@@ -540,11 +520,12 @@ class ServingEngine:
                 self._end_warmup()
         self._attribute_stall(request)
         self.current = request
-        self._service_end = self.now + service
+        self._set_timer(_DEPARTURE, self.now + service)
 
     def _attribute_stall(self, request: Request) -> None:
         """Attribute wait overlapping past blackouts to migration stall."""
-        for b0, b1, span_id in self._blackouts:
+        first = bisect_right(self._blackout_ends, request.arrival_s)
+        for b0, b1, _ in self._blackouts[first:]:
             overlap = min(b1, request.start_s) - max(b0, request.arrival_s)
             if overlap > 1e-12:
                 request.migration_stall_s += overlap
@@ -554,16 +535,8 @@ class ServingEngine:
             self._site("serve.complete")
             if self.current is None or not self._avail(self.location):
                 return  # the crash beat the completion: replay, not done
-        request = self.current
-        request.finish_s = self.now
-        self.busy_seconds += self.now - request.start_s
-        self.current = None
-        self.completed.append(request)
-        breaker = self._breakers[self.location]
-        if breaker.state != "closed":
-            breaker.record_success(self.now)
-        if self.tracer is not None:
-            self._emit_request_span(request)
+        request, self.current = self.current, None
+        self._finish(request, self.location)
         handoff = self._handoff
         if handoff is not None and handoff.phase == "drain":
             if handoff.frozen_by is None:
@@ -572,19 +545,21 @@ class ServingEngine:
             self._start_next()
 
     def _on_hedge_departure(self) -> None:
-        request = self._hedge
+        request, self._hedge = self._hedge, None
+        machine, self._hedge_machine = self._hedge_machine, None
+        self._finish(request, machine)
+        self._start_next()
+
+    def _finish(self, request: Request, machine: str) -> None:
+        """``request`` completed on ``machine`` just now."""
         request.finish_s = self.now
         self.busy_seconds += self.now - request.start_s
-        self._hedge = None
-        machine = self._hedge_machine
-        self._hedge_machine = None
         self.completed.append(request)
         breaker = self._breakers[machine]
         if breaker.state != "closed":
             breaker.record_success(self.now)
         if self.tracer is not None:
             self._emit_request_span(request)
-        self._start_next()
 
     def _emit_request_span(self, request: Request) -> None:
         tracer = self.tracer
@@ -630,22 +605,10 @@ class ServingEngine:
 
     # ------------------------------------------------------- resilience
 
-    def _retry_u(self) -> float:
-        if self._retry_stream is None:
-            self._retry_stream = self.rng.stream("serve.retry")
-        return self._retry_stream.random()
-
-    def _priority_u(self) -> float:
-        if self._priority_stream is None:
-            self._priority_stream = self.rng.stream("serve.priority")
-        return self._priority_stream.random()
-
     def _fail_request(self, request: Request, reason: str) -> None:
         """The request fails *loudly*: counted, spanned, never dropped."""
         request.failed_reason = reason
         self.failed.append(request)
-        if reason == "deadline-exceeded":
-            self._timed_out += 1
         if self.tracer is not None:
             self.tracer.instant(
                 "serve.failed", "serve", track=self.location,
@@ -666,10 +629,11 @@ class ServingEngine:
             self._retried_indices.add(request.index)
             backoff = next_backoff(
                 res.retry_backoff, request.attempts,
-                request.last_backoff_s, self._retry_u(),
+                request.last_backoff_s, self._retry_stream.random(),
             )
             request.last_backoff_s = backoff
             self._retries.append((self.now + backoff, request))
+            self._arm_retry_timer()
             if self.tracer is not None:
                 self.tracer.instant(
                     "serve.retry", "serve", track=self.location,
@@ -689,29 +653,31 @@ class ServingEngine:
         for request in self._orphans.pop(node, []):
             self._retry_or_fail(request, "service-crashed")
 
+    def _arm_retry_timer(self) -> None:
+        """Aim the retry timer at the earliest pending replay."""
+        retries = self._retries
+        self._set_timer(
+            _RETRY, min(t for t, _ in retries) if retries else None
+        )
+
     def _release_retries(self) -> None:
         """Re-queue every replay whose backoff has elapsed."""
         due = [(t, r) for t, r in self._retries if t <= self.now + 1e-12]
-        if not due:
-            return
         self._retries = [
             (t, r) for t, r in self._retries if t > self.now + 1e-12
         ]
+        self._arm_retry_timer()
         # Head insertion in reverse-arrival order keeps the queue
         # sorted by arrival (replays are older than anything queued).
         for _, request in sorted(due, key=lambda e: -e[1].index):
-            self._push_front(request)
+            self.queue.appendleft(request)
         self._start_next()
 
     def _expire_deadlines(self) -> None:
         """Fail every waiting request whose client gave up."""
         timeout = self.resilience.request_timeout_s
-        while (
-            self._queue_depth() > 0
-            and self.queue[self._queue_head].arrival_s + timeout
-            <= self.now + 1e-12
-        ):
-            self._fail_request(self._pop_queue(), "deadline-exceeded")
+        while self.queue and self.queue[0].arrival_s + timeout <= self.now + 1e-12:
+            self._fail_request(self.queue.popleft(), "deadline-exceeded")
         keep = []
         for ready, request in self._retries:
             if request.arrival_s + timeout <= self.now + 1e-12:
@@ -719,20 +685,39 @@ class ServingEngine:
             else:
                 keep.append((ready, request))
         self._retries = keep
+        self._arm_retry_timer()
+
+    def _arm_deadline_timer(self) -> None:
+        """Aim the deadline timer at the earliest waiting request's
+        deadline (now, if that already passed)."""
+        timeout = self.resilience.request_timeout_s
+        deadline = None
+        if self.queue:
+            deadline = self.queue[0].arrival_s + timeout
+        for _, request in self._retries:
+            d = request.arrival_s + timeout
+            if deadline is None or d < deadline:
+                deadline = d
+        self._set_timer(
+            _DEADLINE, None if deadline is None else max(deadline, self.now)
+        )
+
+    def _hedge_target(self) -> Optional[str]:
+        """The machine a hedge could launch on now, if any (the breaker
+        check may half-open it)."""
+        if self._hedge is not None or self._handoff is not None or not self.queue:
+            return None
+        machine = self._other_machine()
+        if machine is None or not self._breakers[machine].allow(self.now):
+            return None
+        return machine
 
     def _launch_hedge(self) -> None:
         """Race the longest-waiting request on the other (idle) machine."""
-        res = self.resilience
-        if (
-            self._hedge is not None
-            or self._handoff is not None
-            or self._queue_depth() == 0
-        ):
+        machine = self._hedge_target()
+        if machine is None:
             return
-        machine = self._other_machine()
-        if machine is None or not self._breakers[machine].allow(self.now):
-            return
-        request = self._pop_queue()
+        request = self.queue.popleft()
         request.start_s = self.now
         request.machine = machine
         request.attempts += 1
@@ -740,7 +725,11 @@ class ServingEngine:
         self._attribute_stall(request)
         self._hedge = request
         self._hedge_machine = machine
-        self._hedge_end = self.now + self.service_s[machine] + res.hedge_overhead_s
+        self._set_timer(
+            _HEDGE_DONE,
+            self.now + self.service_s[machine]
+            + self.resilience.hedge_overhead_s,
+        )
         self._hedged_count += 1
         if self.tracer is not None:
             self.tracer.instant(
@@ -748,7 +737,36 @@ class ServingEngine:
             )
             self.tracer.metrics.counter("serve.hedges").inc()
 
+    def _arm_hedge_timer(self) -> None:
+        """Aim the hedge-launch timer at the oldest waiting request's
+        hedge delay (now, if that already passed), while a hedge could
+        launch."""
+        at = None
+        if self._hedge_target() is not None:
+            ready = self.queue[0].arrival_s + self.resilience.hedge_delay_s
+            at = max(ready, self.now)
+        self._set_timer(_HEDGE_LAUNCH, at)
+
     # ------------------------------------------------- faults & failover
+
+    def _kill_in_flight(self, node: str) -> None:
+        """Kill whatever ``node`` is serving into its orphan pool, where
+        it waits for the verdict on ``node``."""
+        if self.current is not None and self.location == node:
+            request, self.current = self.current, None
+            self._set_timer(_DEPARTURE, None)
+            self._orphan(node, request)
+        if self._hedge is not None and self._hedge_machine == node:
+            request, self._hedge = self._hedge, None
+            self._hedge_machine = None
+            self._set_timer(_HEDGE_DONE, None)
+            self._orphan(node, request)
+
+    def _orphan(self, node: str, request: Request) -> None:
+        self.busy_seconds += self.now - request.start_s
+        request.start_s = None
+        request.machine = None
+        self._orphans.setdefault(node, []).append(request)
 
     def _on_node_crash(self, node: str) -> None:
         """Ground truth: ``node`` dies *now*.  In-flight work is killed
@@ -761,26 +779,12 @@ class ServingEngine:
         if self.tracer is not None:
             self.tracer.instant("serve.node.crash", "serve", track=node)
             self.tracer.metrics.counter("serve.node_crashes").inc()
-        if self.current is not None and self.location == node:
-            request = self.current
-            self.current = None
-            self.busy_seconds += self.now - request.start_s
-            request.start_s = None
-            request.machine = None
-            self._orphans.setdefault(node, []).append(request)
-        if self._hedge is not None and self._hedge_machine == node:
-            request = self._hedge
-            self._hedge = None
-            self._hedge_machine = None
-            self.busy_seconds += self.now - request.start_s
-            request.start_s = None
-            request.machine = None
-            self._orphans.setdefault(node, []).append(request)
+        self._kill_in_flight(node)
         handoff = self._handoff
         if handoff is not None and node in (handoff.src, handoff.dst):
             # The protocol stalls until the detector renders a verdict.
             handoff.frozen_by = node
-            handoff.next_at = None
+            self._set_timer(_HANDOFF, None)
         if self.detector is None:
             # Omniscient baseline: crash known the instant it happens.
             self._fenced.add(node)
@@ -805,25 +809,30 @@ class ServingEngine:
         if handoff is not None and handoff.frozen_by == node:
             handoff.frozen_by = None
             if handoff.phase == "failover":
-                handoff.next_at = (
-                    self.now + self.costs.publish_s + self.costs.commit_s
+                self._set_timer(
+                    _HANDOFF,
+                    self.now + self.costs.publish_s + self.costs.commit_s,
                 )
             elif handoff.phase == "drain":
                 if self.current is None:
                     self._begin_blackout(handoff)
             else:
                 self._begin_blackout(handoff)  # the transfer restarts
+        self._end_outage("repair-failover")
+        self._start_next()
+
+    def _end_outage(self, reason: str) -> None:
+        """A node came back: fail over to it if the home is unusable and
+        nothing is restoring the service yet."""
         if (
             not self._avail(self.location)
             and self._handoff is None
             and not self._dead_end
         ):
             self._begin_failover(
-                "repair-failover", warm=False,
-                blackout_start=self._outage_since,
+                reason, warm=False, blackout_start=self._outage_since
             )
             self._outage_since = None
-        self._start_next()
 
     def _on_node_confirmed_dead(self, node: str) -> None:
         """The detector confirmed ``node`` dead (possibly falsely): fence
@@ -844,27 +853,13 @@ class ServingEngine:
         if self._up[node]:
             # False confirm: the live node is ostracised — it must stop
             # serving, so its in-flight work is killed like a crash's.
-            if self.current is not None and self.location == node:
-                request = self.current
-                self.current = None
-                self.busy_seconds += now - request.start_s
-                request.start_s = None
-                request.machine = None
-                self._orphans.setdefault(node, []).append(request)
-            if self._hedge is not None and self._hedge_machine == node:
-                request = self._hedge
-                self._hedge = None
-                self._hedge_machine = None
-                self.busy_seconds += now - request.start_s
-                request.start_s = None
-                request.machine = None
-                self._orphans.setdefault(node, []).append(request)
+            self._kill_in_flight(node)
         self._resolve_orphans(node)
         handoff = self._handoff
         if handoff is not None:
             if handoff.phase == "failover":
                 if node == handoff.dst:
-                    self._handoff = None
+                    self._drop_handoff()
                     self._begin_failover(
                         handoff.reason, warm=False,
                         blackout_start=handoff.blackout_start,
@@ -874,7 +869,7 @@ class ServingEngine:
             elif node == handoff.src:
                 transfer_end = dict(handoff.phase_ends).get("transfer")
                 death_t = crash_t if crash_t is not None else now
-                self._handoff = None
+                self._drop_handoff()
                 if (
                     transfer_end is not None
                     and death_t >= transfer_end - 1e-12
@@ -890,14 +885,16 @@ class ServingEngine:
                     self.handoffs_aborted += 1
                     self._begin_failover(
                         "src-dead", warm=False,
-                        blackout_start=(
-                            handoff.blackout_start
-                            if handoff.blackout_start is not None
-                            else now
-                        ),
+                        blackout_start=handoff.blackout_start,
                     )
         if node == self.location and self._handoff is None:
             self._begin_failover("node-dead", warm=False)
+
+    def _drop_handoff(self) -> _Handoff:
+        """Detach the in-flight hand-off and disarm its timer."""
+        handoff, self._handoff = self._handoff, None
+        self._set_timer(_HANDOFF, None)
+        return handoff
 
     def _begin_failover(
         self,
@@ -925,42 +922,18 @@ class ServingEngine:
             src=self.location, dst=target, decided_at=now, reason=reason,
             phase="failover",
             blackout_start=blackout_start if blackout_start is not None else now,
-            next_at=now + restore, commit_at=now + restore,
         )
+        self._set_timer(_HANDOFF, now + restore)
         self._failover_warm = warm
         self.failovers += 1
         if self.tracer is not None:
             self.tracer.metrics.counter("serve.failovers").inc()
 
-    def _complete_failover(self) -> None:
-        handoff = self._handoff
-        self._handoff = None
-        self.location = handoff.dst
-        self._last_commit = self.now
-        self._warmup_left = self.costs.warmup_requests
-        self._warmup_extra = (
-            self._warmup_normal if self._failover_warm else self._warmup_cold
-        )
-        self.blackout_seconds += self.now - handoff.blackout_start
-        self.handoff_seconds += self.now - handoff.decided_at
-        span_id = None
-        if self.tracer is not None:
-            span = self.tracer.complete(
-                "serve.failover", "serve", handoff.blackout_start,
-                self.now - handoff.blackout_start, track=handoff.dst,
-                src=handoff.src, dst=handoff.dst, reason=handoff.reason,
-                warm=self._failover_warm,
-            )
-            span_id = span.span_id
-        self._blackouts.append((handoff.blackout_start, self.now, span_id))
-        self._start_next()
-
     def _revive_possible(self) -> bool:
         """Can any machine ever serve again (repair pending, or a live
         fenced node that could rejoin)?"""
-        for _, _, action, _ in self._fault_events[self._fault_idx:]:
-            if action == "repair":
-                return True
+        if any(e[1] == 1 for e in self._fault_events[self._fault_idx:]):
+            return True  # a repair is still scheduled
         return any(
             self._up[m] and m in self._fenced for m in self.machines
         )
@@ -969,19 +942,17 @@ class ServingEngine:
         """Dead end — no machine can ever serve again.  Every waiting
         request fails loudly so nothing is silently stranded."""
         self._dead_end = True
-        while self._queue_depth() > 0:
-            self._fail_request(self._pop_queue(), "no-capacity")
+        while self.queue:
+            self._fail_request(self.queue.popleft(), "no-capacity")
         for _, request in self._retries:
             self._fail_request(request, "no-capacity")
         self._retries = []
+        self._arm_retry_timer()
         for node in list(self._orphans):
             for request in self._orphans.pop(node):
                 self._fail_request(request, "no-capacity")
 
     # -------------------------------------------------------- detection
-
-    def _islanded(self, node: str) -> bool:
-        return any(node in ev.island for ev in self._partitions)
 
     def _heartbeat_round(self) -> None:
         detector = self.detector
@@ -990,7 +961,9 @@ class ServingEngine:
             stretch *= ev.latency_factor
         late = stretch >= detector.config.degradation_miss_factor
         heard = {
-            node: self._up[node] and not self._islanded(node) and not late
+            node: self._up[node]
+            and not any(node in ev.island for ev in self._partitions)
+            and not late
             for node in self.machines
         }
         # A falsely fenced node heard again rejoins (PR-4 semantics).
@@ -999,22 +972,13 @@ class ServingEngine:
                 detector.clear(node, self.now)
                 self._fenced.discard(node)
                 self._breakers[node].touch(self.now)
-                if (
-                    not self._avail(self.location)
-                    and self._handoff is None
-                    and not self._dead_end
-                ):
-                    self._begin_failover(
-                        "rejoin-failover", warm=False,
-                        blackout_start=self._outage_since,
-                    )
-                    self._outage_since = None
+                self._end_outage("rejoin-failover")
                 self._start_next()
         events = detector.observe(self.now, heard, dict(self._up))
         for event, node in events:
             if event == CONFIRM:
                 self._on_node_confirmed_dead(node)
-        self._next_hb += detector.period
+        self._set_timer(_HEARTBEAT, self.now + detector.period)
 
     # ---------------------------------------------------------- hand-off
 
@@ -1033,17 +997,17 @@ class ServingEngine:
         handoff.phase = "transform"
         if handoff.blackout_start is None:
             handoff.blackout_start = self.now
+        costs = self.costs
         handoff.phase_ends = []
-        t = self.now + self.costs.transform_s
-        handoff.phase_ends.append(("transform", t))
-        transfer = self.costs.transfer_s(self._footprint, self._current_bw())
-        t += transfer
-        handoff.phase_ends.append(("transfer", t))
-        t += self.costs.publish_s
-        handoff.phase_ends.append(("publish", t))
-        t += self.costs.commit_s
-        handoff.phase_ends.append(("commit", t))
-        handoff.commit_at = t
+        t = self.now
+        for phase, seconds in (
+            ("transform", costs.transform_s),
+            ("transfer", costs.transfer_s(self._footprint, self._current_bw())),
+            ("publish", costs.publish_s),
+            ("commit", costs.commit_s),
+        ):
+            t += seconds
+            handoff.phase_ends.append((phase, t))
         if self.chaos is not None:
             # Step through every phase boundary so the chaos harness can
             # crash either party at each protocol site.
@@ -1053,32 +1017,32 @@ class ServingEngine:
                 ("serve.handoff.publish", ends["transfer"]),
                 ("serve.handoff.commit", ends["publish"]),
             ]
-            handoff.next_at = handoff.pending[0][1]
+            self._set_timer(_HANDOFF, handoff.pending[0][1])
             self._site(
                 "serve.handoff.prepare",
                 {"src": handoff.src, "dst": handoff.dst},
             )
         else:
-            handoff.next_at = t
+            self._set_timer(_HANDOFF, t)
 
     def _advance_handoff(self) -> None:
         """Chaos-mode phase stepping: announce the next phase boundary."""
         handoff = self._handoff
         step, _ = handoff.pending.pop(0)
         handoff.phase = step.rsplit(".", 1)[1]
-        handoff.next_at = (
-            handoff.pending[0][1] if handoff.pending else handoff.commit_at
+        self._set_timer(
+            _HANDOFF,
+            handoff.pending[0][1] if handoff.pending else handoff.phase_ends[-1][1],
         )
         self._site(step, {"src": handoff.src, "dst": handoff.dst})
 
     def _abort_handoff(self, reason: str) -> None:
-        handoff = self._handoff
-        self._handoff = None
+        handoff = self._drop_handoff()
         self.handoffs_aborted += 1
         self.handoff_seconds += self.now - handoff.decided_at
         if handoff.blackout_start is not None:
             self.blackout_seconds += self.now - handoff.blackout_start
-            self._blackouts.append((handoff.blackout_start, self.now, None))
+            self._record_blackout(handoff.blackout_start, None)
         if self.tracer is not None:
             self.tracer.instant(
                 "serve.handoff.abort", "serve", track=handoff.src,
@@ -1088,22 +1052,36 @@ class ServingEngine:
         if self._avail(self.location):
             self._start_next()
 
-    def _commit_handoff(self) -> None:
-        handoff = self._handoff
-        self._handoff = None
+    def _land_handoff(self) -> None:
+        """COMMIT (or failover restore): the service lives on ``dst``."""
+        handoff = self._drop_handoff()
+        failover = handoff.phase == "failover"
+        warm = self._failover_warm or not failover
         self.location = handoff.dst
-        self.migrations += 1
+        if not failover:
+            self.migrations += 1
         self._warmup_left = self.costs.warmup_requests
-        self._warmup_extra = self._warmup_normal
+        self._warmup_extra = self._warmup_normal if warm else self._warmup_cold
         self._last_commit = self.now
-        blackout = self.now - handoff.blackout_start
-        self.blackout_seconds += blackout
+        self.blackout_seconds += self.now - handoff.blackout_start
         self.handoff_seconds += self.now - handoff.decided_at
         span_id = None
-        if self.tracer is not None:
+        if self.tracer is not None and failover:
+            span_id = self.tracer.complete(
+                "serve.failover", "serve", handoff.blackout_start,
+                self.now - handoff.blackout_start, track=handoff.dst,
+                src=handoff.src, dst=handoff.dst, reason=handoff.reason,
+                warm=warm,
+            ).span_id
+        elif self.tracer is not None:
             span_id = self._emit_handoff_spans(handoff)
-        self._blackouts.append((handoff.blackout_start, self.now, span_id))
+        self._record_blackout(handoff.blackout_start, span_id)
         self._start_next()
+
+    def _record_blackout(self, start: float, cause: Optional[int]) -> None:
+        """A blackout that began at ``start`` ends now."""
+        self._blackouts.append((start, self.now, cause))
+        self._blackout_ends.append(self.now)
 
     def _emit_handoff_spans(self, handoff: _Handoff) -> int:
         tracer = self.tracer
@@ -1150,7 +1128,8 @@ class ServingEngine:
     # ----------------------------------------------------------- policy
 
     def _run_epoch(self) -> None:
-        w = self.rate_window_s
+        self._set_timer(_EPOCH, self.now + DECISION_PERIOD_S)
+        w = RATE_WINDOW_S
         fault_aware = (
             self.faults is not None
             or self.detector is not None
@@ -1161,7 +1140,7 @@ class ServingEngine:
             machine=self.location,
             machines=dict(self._isa_by_machine),
             service_s=dict(self.service_s),
-            queue_depth=self._queue_depth(),
+            queue_depth=len(self.queue),
             in_service=self.current is not None,
             migrating=self._handoff is not None,
             rate=self._rate_between(self.now - w, self.now),
@@ -1224,147 +1203,78 @@ class ServingEngine:
     # -------------------------------------------------------------- run
 
     def run(self) -> RunResult:
-        """Drive the trace to completion and summarise the run."""
+        """Drive the trace to completion and summarise the run.
+
+        Arrivals come from a cursor over ``trace.times``; everything
+        else is an event on the ``sim`` queue, one pending timer per
+        priority.  The run ends when no work is left: trailing faults,
+        heartbeats and epochs never stretch the makespan.
+        """
         times = self.trace.times
         n = len(times)
-        idx = 0
-        next_epoch = self.decision_period_s
+        cursor = 0
+        queue = self._events
+        timers = self._timers
         res = self.resilience
-        faults_on = bool(self._fault_events)
         hedge_on = res is not None and res.hedge_delay_s is not None
         timeout_on = res is not None and res.request_timeout_s is not None
+        if self._fault_events:
+            self._set_timer(_FAULT, self._fault_events[0][0])
+        if self.detector is not None:
+            self._set_timer(_HEARTBEAT, self.detector.period)
+        self._set_timer(_EPOCH, DECISION_PERIOD_S)
 
         while True:
-            # Event kinds order same-time ties; the relative order of
-            # the original four (hand-off=0 < departure=1 < arrival=4 <
-            # epoch=9) is preserved so fault-free runs are bit-identical
-            # to the pre-resilience engine.
-            candidates = []
-            handoff = self._handoff
-            if handoff is not None and handoff.next_at is not None:
-                candidates.append((handoff.next_at, 0))
-            if self.current is not None:
-                candidates.append((self._service_end, 1))
-            if self._hedge is not None:
-                candidates.append((self._hedge_end, 2))
-            work_left = (
-                idx < n
-                or self._queue_depth() > 0
-                or self.current is not None
-                or self._hedge is not None
-                or self._handoff is not None
-                or bool(self._retries)
-                or any(self._orphans.values())
-            )
-            if (
-                faults_on
-                and self._fault_idx < len(self._fault_events)
-                and work_left
-            ):
-                candidates.append(
-                    (self._fault_events[self._fault_idx][0], 3)
-                )
-            if idx < n:
-                candidates.append((times[idx], 4))
-            if self._retries:
-                candidates.append(
-                    (min(t for t, _ in self._retries), 5)
-                )
+            if hedge_on:
+                self._arm_hedge_timer()
             if timeout_on:
-                deadline = None
-                if self._queue_depth() > 0:
-                    deadline = (
-                        self.queue[self._queue_head].arrival_s
-                        + res.request_timeout_s
-                    )
-                for _, request in self._retries:
-                    d = request.arrival_s + res.request_timeout_s
-                    if deadline is None or d < deadline:
-                        deadline = d
-                if deadline is not None:
-                    candidates.append((max(deadline, self.now), 6))
-            if (
-                hedge_on
-                and self._hedge is None
-                and self._handoff is None
-                and self._queue_depth() > 0
-            ):
-                machine = self._other_machine()
-                if machine is not None and self._breakers[machine].allow(
-                    self.now
-                ):
-                    ready = (
-                        self.queue[self._queue_head].arrival_s
-                        + res.hedge_delay_s
-                    )
-                    candidates.append((max(ready, self.now), 7))
-            if self.detector is not None and work_left:
-                candidates.append((self._next_hb, 8))
-            if work_left:
-                candidates.append((next_epoch, 9))
-            if not candidates:
+                self._arm_deadline_timer()
+            if cursor >= n and not self._work_left():
                 break
-            t, kind = min(candidates)
-            self._accrue(t - self.now)
-            self.now = t
-            if kind == 0:
-                handoff = self._handoff
-                if handoff.phase == "failover":
-                    self._complete_failover()
-                elif handoff.pending:
-                    self._advance_handoff()
-                else:
-                    self._commit_handoff()
-            elif kind == 1:
-                self._on_departure()
-            elif kind == 2:
-                self._on_hedge_departure()
-            elif kind == 3:
-                while (
-                    self._fault_idx < len(self._fault_events)
-                    and self._fault_events[self._fault_idx][0]
-                    <= self.now + 1e-12
-                ):
-                    _, _, action, payload = self._fault_events[
-                        self._fault_idx
-                    ]
-                    self._fault_idx += 1
-                    self._apply_fault(action, payload)
-            elif kind == 4:
-                request = Request(index=idx, arrival_s=t)
-                idx += 1
+            head = queue.peek()
+            if cursor < n and (
+                head is None
+                or times[cursor] < head.time
+                or (times[cursor] == head.time and _ARRIVAL < head.priority)
+            ):
+                t = times[cursor]
+                self._accrue(t - self.now)
+                self.now = t
+                request = Request(index=cursor, arrival_s=t)
+                cursor += 1
                 if self.tracer is not None:
                     self.tracer.metrics.counter("serve.requests").inc()
                 self._admit(request)
-            elif kind == 5:
-                self._release_retries()
-            elif kind == 6:
-                self._expire_deadlines()
-            elif kind == 7:
-                self._launch_hedge()
-            elif kind == 8:
-                self._heartbeat_round()
             else:
-                self._run_epoch()
-                next_epoch = self.now + self.decision_period_s
+                event = queue.pop()
+                del timers[event.priority]
+                self._accrue(event.time - self.now)
+                self.now = event.time
+                event.action()
 
         if validate.enabled():
             self._check_conservation(n)
         return self._result(n)
 
-    def _apply_fault(self, action: str, payload) -> None:
-        if action == "crash":
-            self._on_node_crash(payload)
-        elif action == "repair":
-            self._on_node_repair(payload)
-        elif action == "degrade-on":
-            self._degradations.append(payload)
-        elif action == "degrade-off":
-            self._degradations.remove(payload)
-        elif action == "part-on":
-            self._partitions.append(payload)
-        elif action == "part-off":
-            self._partitions.remove(payload)
+    def _on_handoff_timer(self) -> None:
+        """The hand-off reached its next protocol boundary."""
+        if self._handoff.pending:
+            self._advance_handoff()
+        else:
+            self._land_handoff()
+
+    def _apply_due_faults(self) -> None:
+        """Apply every scheduled fault due now, then aim at the next."""
+        events = self._fault_events
+        while (
+            self._fault_idx < len(events)
+            and events[self._fault_idx][0] <= self.now + 1e-12
+        ):
+            _, _, payload, apply = events[self._fault_idx]
+            self._fault_idx += 1
+            apply(payload)
+        if self._fault_idx < len(events):
+            self._set_timer(_FAULT, events[self._fault_idx][0])
 
     def _admit(self, request: Request) -> None:
         """Admission control at the door: classify, gate, enqueue/shed."""
@@ -1377,11 +1287,11 @@ class ServingEngine:
         admission = self._admission
         if admission is not None:
             if len(admission.cumulative) > 1:
-                priority = admission.classify(self._priority_u())
+                priority = admission.classify(self._priority_stream.random())
             else:
                 priority = admission.cumulative[0][1]
             request.priority = priority.name
-            if not admission.admit(self.now, self._queue_depth(), priority):
+            if not admission.admit(self.now, len(self.queue), priority):
                 self.shed.append(request)
                 self._shed_recent += 1
                 if self.tracer is not None:
@@ -1399,39 +1309,25 @@ class ServingEngine:
     def _check_conservation(self, offered: int) -> None:
         """REPRO_VALIDATE: every request in exactly one outcome bucket,
         per-request timelines sane."""
-        completed = {r.index for r in self.completed}
-        shed = {r.index for r in self.shed}
-        failed = {r.index for r in self.failed}
-        if (
-            len(completed) != len(self.completed)
-            or len(shed) != len(self.shed)
-            or len(failed) != len(self.failed)
-        ):
+        outcomes = Counter(
+            r.index for bucket in (self.completed, self.shed, self.failed)
+            for r in bucket
+        )
+        twice = sorted(i for i, count in outcomes.items() if count > 1)
+        if twice:
             raise InvariantViolation(
                 "serving", "request-exactly-once",
-                "a request appears twice in one outcome bucket",
-                state={
-                    "completed": len(self.completed),
-                    "distinct": len(completed),
-                },
+                f"requests with more than one outcome: {twice[:8]}",
+                state={"duplicates": len(twice)},
             )
-        overlap = (completed & shed) | (completed & failed) | (shed & failed)
-        if overlap:
-            raise InvariantViolation(
-                "serving", "request-exactly-once",
-                f"requests in more than one outcome bucket: "
-                f"{sorted(overlap)[:8]}",
-                state={"overlap": len(overlap)},
-            )
-        union = completed | shed | failed
-        if len(union) != offered or (union and max(union) >= offered):
-            missing = sorted(set(range(offered)) - union)[:8]
+        if len(outcomes) != offered or (outcomes and max(outcomes) >= offered):
+            missing = sorted(set(range(offered)) - set(outcomes))[:8]
             raise InvariantViolation(
                 "serving", "requests-conserved",
-                f"offered {offered}, completed {len(completed)} "
-                f"+ shed {len(shed)} + failed {len(failed)} "
-                f"= {len(union)} (missing e.g. {missing})",
-                state={"queue_depth": self._queue_depth()},
+                f"offered {offered}, completed {len(self.completed)} "
+                f"+ shed {len(self.shed)} + failed {len(self.failed)} "
+                f"= {len(outcomes)} (missing e.g. {missing})",
+                state={"queue_depth": len(self.queue)},
             )
         for request in self.completed:
             if not (

@@ -2,8 +2,9 @@
 
 The datacenter-level experiments (Figures 12 and 13) and the kernel
 messaging layer are discrete-event simulations.  Events are ordered by
-(time, sequence-number) so simultaneous events fire in submission order,
-which keeps runs deterministic.
+(time, priority, sequence-number): simultaneous events fire lowest
+priority first, and equal priorities in submission order, which keeps
+runs deterministic.
 """
 
 import heapq
@@ -17,11 +18,12 @@ from repro.sim.clock import Clock
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, seq)``; the payload is excluded from the
-    ordering so arbitrary callables can be scheduled.
+    Events compare by ``(time, priority, seq)``; the payload is excluded
+    from the ordering so arbitrary callables can be scheduled.
     """
 
     time: float
+    priority: int
     seq: int
     action: Callable[[], Any] = field(compare=False)
     name: str = field(compare=False, default="")
@@ -33,40 +35,53 @@ class Event:
 
 
 class EventQueue:
-    """A priority queue of :class:`Event` objects."""
+    """A priority queue of :class:`Event` objects, kept as a heap of
+    ``(time, priority, seq, event)`` tuples (compared in C)."""
 
     def __init__(self):
-        self._heap: list[Event] = []
+        self._heap: list[tuple] = []
         self._seq = 0
 
     def __len__(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for *_, e in self._heap if not e.cancelled)
 
-    def push(self, time: float, action: Callable[[], Any], name: str = "") -> Event:
-        event = Event(time=time, seq=self._seq, action=action, name=name)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+    def push(self, time: float, action: Callable[[], Any], name: str = "",
+             priority: int = 0) -> Event:
+        """Schedule ``action`` at ``time``.
+
+        Same-time events pop by ``priority`` (lowest first), then in
+        submission order; the default priority 0 keeps plain
+        ``(time, seq)`` order.
+        """
+        seq = self._seq
+        event = Event(time, priority, seq, action, name)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, priority, seq, event))
         return event
 
     def pop(self) -> Optional[Event]:
         """Return the earliest live event, or None if the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[3]
             if not event.cancelled:
                 return event
         return None
 
     def peek_time(self) -> Optional[float]:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        return self._heap[0].time
+        """Time of the earliest live event, or None if the queue is empty."""
+        head = self.peek()
+        return None if head is None else head.time
 
     def peek(self) -> Optional[Event]:
         """Return (without removing) the earliest live event."""
-        self.peek_time()  # drops cancelled events off the top
-        return self._heap[0] if self._heap else None
+        heap = self._heap
+        while heap:
+            event = heap[0][3]
+            if not event.cancelled:
+                return event
+            heapq.heappop(heap)  # drop cancelled events off the top
+        return None
 
     def pop_due(self, deadline: float) -> Optional[Event]:
         """Pop the earliest live event with ``time <= deadline``.
@@ -88,7 +103,7 @@ class EventQueue:
         "is any non-heartbeat event still pending?" without reaching
         into the heap representation.
         """
-        return [e for e in self._heap if not e.cancelled]
+        return [e for *_, e in self._heap if not e.cancelled]
 
 
 class Simulator:
@@ -108,13 +123,16 @@ class Simulator:
 
     @property
     def now(self) -> float:
+        """Current simulated time (the clock's reading)."""
         return self.clock.now
 
-    def at(self, time: float, action: Callable[[], Any], name: str = "") -> Event:
-        """Schedule ``action`` at absolute time ``time``."""
+    def at(self, time: float, action: Callable[[], Any], name: str = "",
+           priority: int = 0) -> Event:
+        """Schedule ``action`` at absolute time ``time`` (see
+        :meth:`EventQueue.push` for ``priority``)."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        return self.queue.push(time, action, name)
+        return self.queue.push(time, action, name, priority)
 
     def after(self, delay: float, action: Callable[[], Any], name: str = "") -> Event:
         """Schedule ``action`` ``delay`` seconds from now."""

@@ -20,6 +20,22 @@ class TestParser:
             build_parser().parse_args(["run", "is", "--cls", "Z"])
 
 
+class TestServeArgs:
+    @pytest.mark.parametrize("argv", [
+        ["--slo-ms", "0"],
+        ["--detector", "--heartbeat", "0"],
+        ["--requests", "-5"],
+        ["--horizon", "-1"],
+        ["--faults", "--crash-at", "-3"],
+        ["--faults", "--repair-after", "-1"],
+    ])
+    def test_bad_number_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "redis", "--requests", "50", *argv])
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0

@@ -326,12 +326,6 @@ class TestServingEngine:
         warmed = [r for r in engine.completed if r.warmup_extra_s > 0]
         assert len(warmed) == engine.costs.warmup_requests * result.migrations
 
-    def test_unknown_start_machine_rejected(self):
-        trace = make_trace("steady", DeterministicRng(1), requests=10)
-        with pytest.raises(KeyError):
-            ServingEngine(make_serving_policy("static-arm"), trace,
-                          start_machine="riscv-server")
-
 
 class TestServingSpans:
     def test_handoff_spans_mirror_protocol(self):

@@ -27,7 +27,7 @@ from repro.faults.chaos import COMPLETED, FAILED_LOUD
 from repro.serving import (
     AdmissionController,
     CircuitBreaker,
-    EngineConfig,
+    HandoffCosts,
     PriorityClass,
     ResilienceConfig,
     RetryBudget,
@@ -173,36 +173,17 @@ class TestResiliencePrimitives:
         assert not default_resilience().inert
 
 
-# ------------------------------------------------------- engine config
+# ------------------------------------------------------ hand-off warm-up
 
 
-class TestEngineConfig:
-    def test_warmup_requests_is_configurable(self):
-        config = EngineConfig(dsm_warmup_requests=8)
-        engine = _engine(config=config)
-        assert engine.costs.warmup_requests == 8
-        assert engine.config.dsm_warmup_requests == 8
-
-    def test_defaults_mirror_legacy_kwargs(self):
-        engine = _engine(decision_period_s=0.1, rate_window_s=0.25)
-        assert engine.config.dsm_warmup_requests == 64
-        assert engine.config.decision_period_s == 0.1
-        assert engine.config.rate_window_s == 0.25
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EngineConfig(dsm_warmup_requests=0)
-        with pytest.raises(ValueError):
-            EngineConfig(decision_period_s=0.0)
-
+class TestHandoffWarmup:
     def test_smaller_warmup_pays_larger_per_request_surcharge(self):
-        few = _engine(config=EngineConfig(dsm_warmup_requests=4))
-        many = _engine(config=EngineConfig(dsm_warmup_requests=256))
+        footprint, bw = 64 << 20, 8e9
+        few = HandoffCosts(warmup_requests=4).warmup_extra_s(footprint, bw)
+        many = HandoffCosts(warmup_requests=256).warmup_extra_s(footprint, bw)
         # Same cold set amortised over fewer requests = bigger slices.
-        assert few._warmup_normal > many._warmup_normal
-        assert few._warmup_normal * 4 == pytest.approx(
-            many._warmup_normal * 256
-        )
+        assert few > many
+        assert few * 4 == pytest.approx(many * 256)
 
 
 # ------------------------------------------------- fault-free identity
@@ -319,6 +300,11 @@ class TestCrashFailover:
     def test_unknown_crash_node_rejected(self):
         with pytest.raises(ValueError):
             _engine(faults=_crash(node="no-such-box"))
+
+    @pytest.mark.parametrize("at, repair", [(-3.0, 1.0), (1.0, -2.0)])
+    def test_fault_before_time_zero_rejected(self, at, repair):
+        with pytest.raises(ValueError, match="before t=0"):
+            _engine(faults=_crash(at=at, permanent=False, repair=repair))
 
     def test_repair_event_alone_is_accepted(self):
         faults = FaultSchedule([

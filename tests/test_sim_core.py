@@ -43,6 +43,21 @@ class TestEventQueue:
         q.push(1.0, lambda: None, "second")
         assert q.pop().name == "first"
 
+    def test_priority_breaks_time_ties_before_submission_order(self):
+        q = EventQueue()
+        q.push(1.0, lambda: None, "late", priority=2)
+        q.push(1.0, lambda: None, "first", priority=1)
+        q.push(1.0, lambda: None, "second", priority=1)
+        q.push(2.0, lambda: None, "after", priority=0)
+        q.push(0.5, lambda: None, "earliest", priority=9)
+        order = [q.pop().name for _ in range(5)]
+        assert order == ["earliest", "first", "second", "late", "after"]
+        # Default priority: plain (time, seq) order.
+        q.push(3.0, lambda: None, "x")
+        q.push(1.0, lambda: None, "y")
+        q.push(3.0, lambda: None, "z")
+        assert [q.pop().name for _ in range(3)] == ["y", "x", "z"]
+
     def test_cancel(self):
         q = EventQueue()
         e = q.push(1.0, lambda: None, "gone")
