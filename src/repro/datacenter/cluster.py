@@ -17,19 +17,19 @@ events, as the paper reports ("we only report internal power
 readings"), with the McPAT FinFET projection optionally applied to the
 ARM board.  A crashed node draws no power until repaired.
 
-Since the DES unification the simulator runs on the shared
-:mod:`repro.sim` substrate — a :class:`~repro.sim.clock.Clock` plus a
-:class:`~repro.sim.events.EventQueue` — the same primitives the kernel
-testbed charges time to.  A cluster run can therefore share its clock
-with nested :class:`~repro.kernel.kernel.PopcornSystem` instances
-(see :mod:`repro.datacenter.nested`): sampled nodes measure job
-durations by actually executing the workload's binary on a real
-replicated-kernel testbed while the remaining nodes run on the
-analytic cost summaries.
+One run loop drives both experiments.  Each step advances to the
+earliest of the next job completion (computed from remaining work),
+the next queued event and the next arrival, then collects finished
+jobs, applies due events, admits arrivals and rebalances.
+``run_sustained`` (Fig. 12) back-fills one job per departure;
+``run_periodic`` (Fig. 13) admits a timed schedule.  Only faults,
+hand-offs and heartbeat rounds are queued, on the :mod:`repro.sim`
+event queue, each with its own handler.
 """
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro import validate
 from repro.datacenter.energy import RunResult
@@ -38,8 +38,7 @@ from repro.datacenter.policies import SchedulingPolicy
 from repro.linker.layout import PAGE_SIZE
 from repro.machine.machine import Machine
 from repro.machine.mcpat import project_finfet
-from repro.sim.clock import Clock
-from repro.sim.events import Simulator
+from repro.sim.events import Event, Simulator
 from repro.telemetry.faultlog import FaultLog
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,29 +79,36 @@ class MachineNode:
 
     @property
     def name(self) -> str:
+        """The machine's unique name."""
         return self.machine.name
 
     @property
     def isa_name(self) -> str:
+        """The machine's ISA (``"x86-64"`` or ``"arm64"``)."""
         return self.machine.isa.name
 
     @property
     def threads_in_use(self) -> int:
+        """Threads of all resident jobs."""
         return sum(j.threads for j in self.jobs)
 
     @property
     def busy_cores(self) -> float:
+        """Cores kept busy (resident threads, capped at the core count)."""
         return float(min(self.threads_in_use, self.machine.cpu.cores))
 
     @property
     def contention(self) -> float:
+        """Processor-sharing stretch: threads per core, at least 1."""
         cores = self.machine.cpu.cores
         return max(1.0, self.threads_in_use / cores)
 
     def cpu_power_now(self) -> float:
+        """Internal CPU power (W) at the current load."""
         return self.power.cpu_power(self.busy_cores)
 
     def accrue_energy(self, dt: float) -> None:
+        """Charge ``dt`` seconds at the current power."""
         self.energy_joules += self.cpu_power_now() * dt
 
 
@@ -118,9 +124,7 @@ class ClusterSimulator:
         faults: Optional["FaultSchedule"] = None,
         recovery: Optional["RecoveryPolicy"] = None,
         detector: Optional["FailureDetector"] = None,
-        two_phase: Optional[bool] = None,
         tracer=None,
-        clock: Optional[Clock] = None,
         nested: Optional["NestedNodeSampler"] = None,
         nested_nodes: Tuple[str, ...] = (),
     ):
@@ -148,11 +152,9 @@ class ClusterSimulator:
         self._live_cache: Optional[List[MachineNode]] = None
         self.policy = policy
         self.interconnect_bw = interconnect_bw
-        # The unified DES substrate: simulated time lives in a shared
-        # repro.sim Clock and fault/protocol events in its EventQueue,
-        # so cluster runs and nested kernel testbeds tick on the same
-        # primitives.  ``now`` is a read-only view of the clock.
-        self._sim = Simulator(clock)
+        # Simulated time lives in a repro.sim Clock and fault/protocol
+        # events in its EventQueue; ``now`` is a read-only view.
+        self._sim = Simulator()
         self.migrations = 0
         self._durations: Dict[Tuple[JobSpec, str], float] = {}
         self.finished: List[Job] = []
@@ -178,9 +180,12 @@ class ClusterSimulator:
         if self.recovery is not None:
             self.recovery.reset()
         self.fault_log = FaultLog()
-        if faults is not None:
-            for event in faults:
-                self._push_event(event.time, event.kind, event)
+        # Queued events other than the heartbeat: while any is pending,
+        # a fault can still create something for the detector to see.
+        self._queued = 0
+        self._heartbeat: Optional[Event] = None
+        for event in faults if faults is not None else ():
+            self._schedule(event)
         self.parked: List[Tuple[Job, Optional[str]]] = []
         self._crash_since: Dict[str, float] = {}
         self._mttr_samples: List[float] = []
@@ -199,9 +204,6 @@ class ClusterSimulator:
         # instead of known omnisciently: a crashed node's jobs sit in
         # _undetected until the detector confirms the death.
         self.detector = detector
-        self.two_phase = (
-            bool(two_phase) if two_phase is not None else detector is not None
-        )
         self._undetected: Dict[str, List[Job]] = {}
         self._fenced_alive: set = set()  # live nodes ostracised by a
         # false confirm; they rejoin when heard again
@@ -213,7 +215,9 @@ class ClusterSimulator:
         self.lost_page_count = 0
         if self.detector is not None:
             self.detector.reset([n.name for n in self.nodes], now=0.0)
-            self._push_event(self.detector.period, "hb", None)
+            self._heartbeat = self._sim.queue.push(
+                self.detector.period, self._heartbeat_round
+            )
             if tracer is not None:
                 self.detector.tracer = tracer
         # Opt-in conservation audit (REPRO_VALIDATE): None when off.
@@ -226,13 +230,8 @@ class ClusterSimulator:
         """Current simulated time (the shared ``sim`` clock's view)."""
         return self._sim.now
 
-    @property
-    def clock(self) -> Clock:
-        """The run's :class:`~repro.sim.clock.Clock` (shareable with
-        nested kernel testbeds and fleet-level simulators)."""
-        return self._sim.clock
-
-    def _duration(self, spec: JobSpec, node: MachineNode) -> float:
+    def duration_on(self, spec: JobSpec, node: MachineNode) -> float:
+        """Uncontended run time of ``spec`` on ``node`` (memoized)."""
         key = (spec, node.name)
         if key not in self._durations:
             if node.name in self._nested_nodes:
@@ -242,9 +241,6 @@ class ClusterSimulator:
             else:
                 self._durations[key] = job_duration(spec, node.machine)
         return self._durations[key]
-
-    # Public alias for the recovery policies.
-    duration_on = _duration
 
     def _node_of(self, job: Job) -> MachineNode:
         node = self._node_index.get(job.machine)
@@ -271,12 +267,14 @@ class ClusterSimulator:
         return True
 
     def effective_bandwidth(self) -> float:
+        """Interconnect bandwidth under the open degradation windows."""
         bw = self.interconnect_bw
         for degradation in self._degradations:
             bw *= degradation.bandwidth_factor
         return bw
 
-    def _start(self, job: Job, node: MachineNode) -> None:
+    def start_job(self, job: Job, node: MachineNode) -> None:
+        """Run ``job`` on ``node`` from now on."""
         job.state = JobState.RUNNING
         job.machine = node.name
         job.started_at = self.now
@@ -288,20 +286,13 @@ class ClusterSimulator:
             )
             self.tracer.metrics.counter("sched.placements").inc()
 
-    # Public alias for the recovery policies.
-    start_job = _start
-
     def _admit(self, job: Job) -> None:
         """Place an arriving job, parking it if no node is up."""
         live = self.live_nodes()
         if not live:
             self.park(job, None, reason="no node up at arrival")
             return
-        self._start(job, self.policy.place(job, live))
-
-    def _finish_time_of(self, job: Job, node: MachineNode) -> float:
-        rate_seconds = self._duration(job.spec, node) * node.contention
-        return job.remaining_fraction * rate_seconds
+        self.start_job(job, self.policy.place(job, live))
 
     def _advance(self, dt: float) -> None:
         """Progress all jobs and accrue energy for ``dt`` seconds."""
@@ -313,7 +304,7 @@ class ClusterSimulator:
             node.accrue_energy(dt)
             denom_base = node.contention
             for job in node.jobs:
-                demand = self._duration(job.spec, node) * denom_base
+                demand = self.duration_on(job.spec, node) * denom_base
                 job.remaining_fraction -= dt / demand
             self.busy_seconds += dt * len(node.jobs)
         self._sim.clock.advance_by(dt)
@@ -350,7 +341,7 @@ class ClusterSimulator:
                 continue
             src.jobs.remove(job)
             penalty = migration_penalty(job.spec, self.effective_bandwidth())
-            extra = penalty / self._duration(job.spec, dst)
+            extra = penalty / self.duration_on(job.spec, dst)
             job.remaining_fraction = min(job.remaining_fraction + extra, 1.0)
             job.machine = dst.name
             job.migrations += 1
@@ -369,58 +360,80 @@ class ClusterSimulator:
                 ).observe(penalty)
 
     def _next_completion_dt(self) -> Optional[float]:
-        best: Optional[float] = None
-        for node in self.nodes:
-            for job in node.jobs:
-                t = self._finish_time_of(job, node)
-                if best is None or t < best:
-                    best = t
-        return best
+        return min(
+            (
+                job.remaining_fraction
+                * (self.duration_on(job.spec, node) * node.contention)
+                for node in self.nodes
+                for job in node.jobs
+            ),
+            default=None,
+        )
 
     # ------------------------------------------------- fault machinery
 
-    def _push_event(self, time: float, kind: str, payload: object) -> None:
-        # Events land on the shared sim.events queue; ordering is
-        # (time, push-sequence), exactly the pre-unification heap's
-        # tie-break, so runs stay bit-identical.  The kind travels in
-        # the event name and the dispatch closure carries the payload.
-        self._sim.queue.push(
-            time,
-            lambda kind=kind, payload=payload: self._dispatch_fault(
-                kind, payload
-            ),
-            name=kind,
+    def _schedule(self, event) -> None:
+        """Check one :class:`FaultSchedule` event and queue it with its
+        handler."""
+        node = getattr(event, "node", None)
+        if event.time < 0:
+            raise ValueError(f"fault schedule acts before t=0: {event!r}")
+        if node is not None and node not in self._node_index:
+            raise ValueError(f"fault schedule names unknown node {node!r}")
+        apply = {
+            "crash": lambda: self._apply_crash(event),
+            "repair": lambda: self._apply_repair(node),
+            "degrade": lambda: self._open_degradation(event),
+            "partition": lambda: self._open_partition(event),
+        }.get(event.kind)
+        if apply is None:
+            raise ValueError(f"cluster cannot apply fault event {event!r}")
+        self._queue_fault(event.time, event.kind, node, apply)
+
+    def _queue(self, time: float, action: Callable[[], None]) -> None:
+        """Queue a non-heartbeat event."""
+        self._queued += 1
+        self._sim.queue.push(time, action)
+
+    def _queue_fault(
+        self, time: float, kind: str, node: Optional[str],
+        apply: Callable[[], None],
+    ) -> None:
+        """Queue a fault event: firing it counts toward ``fault_events``
+        and traces a ``fault.<kind>`` instant before ``apply`` runs."""
+
+        def fire() -> None:
+            self.fault_events += 1
+            if self.tracer is not None:
+                self.tracer.instant(
+                    f"fault.{kind}", "fault", ts=self.now,
+                    track=node if node is not None else "cluster",
+                )
+                self.tracer.metrics.counter("fault.events").inc()
+            apply()
+
+        self._queue(time, fire)
+
+    def _queue_repair(self, time: float, name: str) -> None:
+        self._queue_fault(time, "repair", name, lambda: self._apply_repair(name))
+
+    def _heartbeat_round(self) -> None:
+        """One detector round, then re-arm.  Heartbeats are protocol
+        traffic, not faults: they are excluded from ``fault_events``."""
+        self._run_detector()
+        self._heartbeat = self._sim.queue.push(
+            self.now + self.detector.period, self._heartbeat_round
         )
 
-    def _next_fault_dt(self) -> Optional[float]:
-        queue = self._sim.queue
-        while True:
-            head = queue.peek()
-            if head is None:
-                return None
-            if head.name == "hb" and not self._heartbeats_matter():
-                # Nothing left that a heartbeat round could detect or
-                # unblock: let the recurring chain die so quiescent
-                # runs terminate instead of ticking forever.
-                queue.pop()
-                continue
-            return max(head.time - self.now, 0.0)
-
-    def _heartbeats_matter(self) -> bool:
-        if self._undetected or self._in_flight or self._fenced_alive:
-            return True
-        if self.detector is not None and self.detector.pending():
-            return True
-        # Any scheduled non-heartbeat event can still create suspicions.
-        return any(e.name != "hb" for e in self._sim.queue.live())
-
-    def _apply_due_faults(self) -> bool:
-        """Dispatch every fault event due at (or before) ``now``."""
+    def _apply_due_events(self) -> bool:
+        """Run every queued event due at (or before) ``now``."""
         applied = False
         while True:
             event = self._sim.queue.pop_due(self.now + 1e-9)
             if event is None:
                 break
+            if event is not self._heartbeat:
+                self._queued -= 1
             event.action()
             applied = True
         if applied and self._in_flight:
@@ -429,61 +442,39 @@ class ClusterSimulator:
             self.recovery.try_unpark(self)
         return applied
 
-    def _dispatch_fault(self, kind: str, event: object) -> None:
-        if kind == "hb":
-            # Heartbeat rounds are protocol traffic, not faults: they
-            # are excluded from the fault_events count.
-            self._run_detector()
-            self._push_event(self.now + self.detector.period, "hb", None)
-            return
-        if kind == "handoff":
-            self._pump_handoffs()
-            return
-        self.fault_events += 1
-        if self.tracer is not None:
-            node = getattr(event, "node", None)
-            if node is None and isinstance(event, str):
-                node = event
-            self.tracer.instant(
-                f"fault.{kind}", "fault", ts=self.now,
-                track=node if node is not None else "cluster",
-            )
-            self.tracer.metrics.counter("fault.events").inc()
-        if kind == "crash":
-            self._apply_crash(event)
-        elif kind == "repair":
-            name = event if isinstance(event, str) else event.node
-            self._apply_repair(name)
-        elif kind == "degrade":
-            self._degradations.append(event)
-            self._push_event(self.now + event.duration, "degrade-end", event)
-            self.fault_log.record(
-                self.now, "degrade",
-                detail=f"bw x{event.bandwidth_factor:g}, "
-                f"lat x{event.latency_factor:g} for {event.duration:g}s",
-            )
-        elif kind == "degrade-end":
-            self._degradations.remove(event)
-            self.fault_log.record(self.now, "degrade-end")
-            self._attempt_rejoins()
-        elif kind == "partition":
-            island = tuple(event.island)
-            self._partitions.append(island)
-            self._push_event(self.now + event.duration, "heal", island)
-            self.fault_log.record(
-                self.now, "partition", detail=f"island {island}"
-            )
-        elif kind == "heal":
-            self._partitions.remove(event)
-            self.fault_log.record(self.now, "heal", detail=f"island {event}")
-            self._attempt_rejoins()
-        else:
-            raise ValueError(f"unknown fault event kind {kind!r}")
+    def _open_degradation(self, event) -> None:
+        self._degradations.append(event)
+        self._queue_fault(
+            self.now + event.duration, "degrade-end", None,
+            lambda: self._close_window("degrade-end", self._degradations, event),
+        )
+        self.fault_log.record(
+            self.now, "degrade",
+            detail=f"bw x{event.bandwidth_factor:g}, "
+            f"lat x{event.latency_factor:g} for {event.duration:g}s",
+        )
+
+    def _open_partition(self, event) -> None:
+        island = tuple(event.island)
+        self._partitions.append(island)
+        self._queue_fault(
+            self.now + event.duration, "heal", None,
+            lambda: self._close_window(
+                "heal", self._partitions, island, f"island {island}"
+            ),
+        )
+        self.fault_log.record(self.now, "partition", detail=f"island {island}")
+
+    def _close_window(
+        self, kind: str, windows: list, window: object, detail: str = ""
+    ) -> None:
+        """A degradation or partition window ends."""
+        windows.remove(window)
+        self.fault_log.record(self.now, kind, detail=detail)
+        self._attempt_rejoins()
 
     def _apply_crash(self, event) -> None:
-        node = self._node_index.get(event.node)
-        if node is None:
-            raise KeyError(f"fault schedule names unknown node {event.node!r}")
+        node = self._node_index[event.node]
         if not node.up:
             if node.name in self._fenced_alive:
                 # An ostracised-but-live node really died.  Its jobs
@@ -496,8 +487,8 @@ class ClusterSimulator:
                     detail="crashed while fenced",
                 )
                 if not event.permanent:
-                    self._push_event(
-                        self.now + event.repair_seconds, "repair", node.name
+                    self._queue_repair(
+                        self.now + event.repair_seconds, node.name
                     )
                 return
             self.fault_log.record(
@@ -516,19 +507,14 @@ class ClusterSimulator:
         victims = node.jobs
         node.jobs = []
         if not event.permanent:
-            self._push_event(
-                self.now + event.repair_seconds, "repair", node.name
-            )
+            self._queue_repair(self.now + event.repair_seconds, node.name)
         if victims:
             if self.detector is not None:
                 # Nobody knows yet: the jobs are in limbo until the
                 # detector confirms the death (that latency is the MTTD).
                 self._undetected[node.name] = victims
-            elif self.recovery is not None:
-                self.recovery.on_crash(self, node, victims)
             else:
-                for job in victims:
-                    self.lose_job(job)
+                self._recover(node, victims)
 
     def _apply_repair(self, name: str) -> None:
         node = self._node_index[name]
@@ -547,11 +533,15 @@ class ClusterSimulator:
             # Repaired before the detector ever confirmed the crash —
             # the node is back but its memory is gone, so the victims
             # enter recovery only now.
-            if self.recovery is not None:
-                self.recovery.on_crash(self, node, victims)
-            else:
-                for job in victims:
-                    self.lose_job(job)
+            self._recover(node, victims)
+
+    def _recover(self, node: MachineNode, victims: List[Job]) -> None:
+        """Hand a dead or fenced node's jobs to the recovery policy."""
+        if self.recovery is not None:
+            self.recovery.on_crash(self, node, victims)
+        else:
+            for job in victims:
+                self.lose_job(job)
 
     # --------------------------------------- failure detection rounds
 
@@ -642,11 +632,7 @@ class ClusterSimulator:
         else:
             return
         if victims:
-            if self.recovery is not None:
-                self.recovery.on_crash(self, node, victims)
-            else:
-                for job in victims:
-                    self.lose_job(job)
+            self._recover(node, victims)
         if self._in_flight:
             self._pump_handoffs()
 
@@ -707,7 +693,7 @@ class ClusterSimulator:
             penalty=penalty,
         )
         self._in_flight.append(handoff)
-        self._push_event(handoff.due_at, "handoff", handoff)
+        self._queue(handoff.due_at, self._pump_handoffs)
         self.handoffs += 1
         self.fault_log.record(
             self.now, "handoff-begin", node=dst.name,
@@ -733,7 +719,7 @@ class ClusterSimulator:
 
     def _commit_handoff(self, handoff: Handoff, dst_node: MachineNode) -> None:
         job = handoff.job
-        self._start(job, dst_node)
+        self.start_job(job, dst_node)
         job.migrations += 1
         self.migrations += 1
         self.handoff_seconds += self.now - handoff.prepared_at
@@ -802,6 +788,7 @@ class ClusterSimulator:
         self.fault_log.record(self.now, "park", detail=detail)
 
     def lose_job(self, job: Job) -> None:
+        """Fail ``job`` for good, charging its wasted work and pages."""
         if job.state is JobState.RUNNING and job.started_at is not None:
             # Work invested in a job that will never finish is not
             # goodput.  (Parked jobs were already charged when their
@@ -827,113 +814,126 @@ class ClusterSimulator:
             self.tracer.metrics.counter("sched.jobs_lost").inc()
         self.fault_log.record(self.now, "lost", detail=f"{job.spec}")
 
-    def _abandon_parked(self) -> int:
+    def _abandon_parked(self) -> None:
         """No event can ever free a parked job: count it lost."""
-        lost = len(self.parked)
         for job, _ in self.parked:
             self.lose_job(job)
         self.parked = []
-        return lost
 
-    def _post_advance(self) -> None:
-        if self.recovery is not None:
-            self.recovery.note_progress(self)
+    def _work_left(self) -> bool:
+        """Is any admitted job still resident, parked, in flight or
+        waiting for its node's death to be detected?"""
+        return bool(
+            self._in_flight
+            or self._undetected
+            or self.parked
+            or any(n.jobs for n in self.nodes)
+        )
 
     # ------------------------------------------------------ experiment
 
-    def run_sustained(self, specs: List[JobSpec], concurrency: int) -> RunResult:
-        """Closed system: keep ``concurrency`` jobs in flight (Fig. 12)."""
-        queue = [Job(s, arrival=0.0) for s in specs]
-        pending = list(queue)
-        if self._checker is not None:
-            self._checker.begin(len(queue))
-        in_flight = 0
-        for _ in range(min(concurrency, len(pending))):
-            job = pending.pop(0)
-            self._admit(job)
-            in_flight += 1
-        self._apply_policy_migrations()
+    def _step(
+        self,
+        next_arrival: Optional[float] = None,
+        admit: Optional[Callable[[int], bool]] = None,
+    ) -> bool:
+        """Advance to the next completion, queued event or
+        ``next_arrival`` and apply it; ``admit(freed)`` gets the count
+        of jobs that finished or were lost and says whether it admitted
+        any.  False, having done nothing, when nothing is left."""
+        queue = self._sim.queue
+        head = queue.peek()
+        if head is not None and head is self._heartbeat and not (
+            self._undetected
+            or self._in_flight
+            or self._fenced_alive
+            or self.detector.pending()
+            or self._queued
+        ):
+            # Nothing left that a heartbeat round could detect or
+            # unblock: let the recurring chain die so quiescent runs
+            # terminate instead of ticking forever.
+            queue.pop()
+            self._heartbeat = None
+            head = queue.peek()
+        due = (next_arrival, None if head is None else head.time)
+        dts = [t - self.now for t in due if t is not None]
+        dt_done = self._next_completion_dt()
+        if dt_done is not None:
+            dts.append(dt_done)
+        if not dts:
+            return False
+        self._advance(max(min(dts), 0.0))
+        if self.recovery is not None:
+            self.recovery.note_progress(self)
+        lost_before = self.jobs_lost
+        done = self._collect_finished()
+        changed = self._apply_due_events() or bool(done)
+        if admit is not None and admit(
+            len(done) + self.jobs_lost - lost_before
+        ):
+            changed = True
+        if changed:
+            self._apply_policy_migrations()
+        return True
 
-        while in_flight > 0:
-            candidates = []
-            dt_done = self._next_completion_dt()
-            if dt_done is not None:
-                candidates.append(dt_done)
-            dt_fault = self._next_fault_dt()
-            if dt_fault is not None:
-                candidates.append(dt_fault)
-            if not candidates:
-                in_flight -= self._abandon_parked()
-                if in_flight > 0:
+    def _run(
+        self,
+        total: int,
+        pending: Deque[Job],
+        next_arrival: Callable[[], Optional[float]],
+        admit: Callable[[int], bool],
+    ) -> RunResult:
+        """Step until no arrival is due and no job is left in the
+        system; ``pending`` holds the jobs not yet admitted."""
+        if self._checker is not None:
+            self._checker.begin(total)
+        while next_arrival() is not None or self._work_left():
+            if not self._step(next_arrival(), admit):
+                self._abandon_parked()
+                if self._work_left():
                     raise RuntimeError("jobs in flight but none progressing")
                 break
-            dt = min(candidates)
-            self._advance(dt)
-            self._post_advance()
-            done = self._collect_finished()
-            in_flight -= len(done)
-            lost_before = self.jobs_lost
-            faulted = self._apply_due_faults()
-            lost = self.jobs_lost - lost_before
-            in_flight -= lost  # fail-stopped jobs leave the system too
-            for _ in range(len(done) + lost):
-                if pending:
-                    job = pending.pop(0)
-                    job.arrival = self.now
-                    self._admit(job)
-                    in_flight += 1
-            if done or faulted:
-                self._apply_policy_migrations()
             if self._checker is not None:
                 self._checker.check(self, outstanding=len(pending))
-        return self._result(len(queue), outstanding=len(pending))
+        return self._result(total, outstanding=len(pending))
+
+    def run_sustained(self, specs: List[JobSpec], concurrency: int) -> RunResult:
+        """Closed system: keep ``concurrency`` jobs in flight (Fig. 12);
+        each job that finishes or is lost is replaced by the next one."""
+        pending = deque(Job(s, arrival=0.0) for s in specs)
+        total = len(pending)
+
+        def backfill(freed: int) -> bool:
+            admitted = min(freed, len(pending))
+            for _ in range(admitted):
+                job = pending.popleft()
+                job.arrival = self.now
+                self._admit(job)
+            return admitted > 0
+
+        backfill(concurrency)
+        self._apply_policy_migrations()
+        return self._run(total, pending, lambda: None, backfill)
 
     def run_periodic(self, arrivals: List[Tuple[float, JobSpec]]) -> RunResult:
         """Open system with timed arrivals (Fig. 13)."""
-        schedule = sorted(
+        pending = deque(sorted(
             (Job(spec, arrival=t) for t, spec in arrivals),
             key=lambda j: (j.arrival, j.job_id),
+        ))
+
+        def admit_due(freed: int) -> bool:
+            admitted = False
+            while pending and pending[0].arrival <= self.now + 1e-9:
+                self._admit(pending.popleft())
+                admitted = True
+            return admitted
+
+        return self._run(
+            len(pending), pending,
+            lambda: pending[0].arrival if pending else None, admit_due,
         )
-        idx = 0
-        total = len(schedule)
-        if self._checker is not None:
-            self._checker.begin(total)
-        while (
-            idx < total
-            or any(n.jobs for n in self.nodes)
-            or self.parked
-            or self._in_flight
-            or self._undetected
-        ):
-            next_arrival = schedule[idx].arrival if idx < total else None
-            dt_done = self._next_completion_dt()
-            candidates = []
-            if next_arrival is not None:
-                candidates.append(next_arrival - self.now)
-            if dt_done is not None:
-                candidates.append(dt_done)
-            dt_fault = self._next_fault_dt()
-            if dt_fault is not None:
-                candidates.append(dt_fault)
-            if not candidates:
-                self._abandon_parked()
-                break
-            dt = max(min(candidates), 0.0)
-            self._advance(dt)
-            self._post_advance()
-            changed = bool(self._collect_finished())
-            if self._apply_due_faults():
-                changed = True
-            while idx < total and schedule[idx].arrival <= self.now + 1e-9:
-                job = schedule[idx]
-                idx += 1
-                self._admit(job)
-                changed = True
-            if changed:
-                self._apply_policy_migrations()
-            if self._checker is not None:
-                self._checker.check(self, outstanding=total - idx)
-        return self._result(total, outstanding=total - idx)
 
     def _result(self, job_count: int, outstanding: int = 0) -> RunResult:
         if self._checker is not None:

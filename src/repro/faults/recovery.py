@@ -50,6 +50,7 @@ class RecoveryPolicy:
     def on_crash(
         self, sim: "ClusterSimulator", node: "MachineNode", jobs: List[Job]
     ) -> None:
+        """Recover ``jobs``, the residents of crashed ``node``."""
         for job in jobs:
             sim.lose_job(job)
 
@@ -60,7 +61,7 @@ class RecoveryPolicy:
         for job, required_isa in sim.parked:
             targets = [
                 n
-                for n in _placement_nodes(sim)
+                for n in sim.placement_nodes()
                 if required_isa is None or n.isa_name == required_isa
             ]
             if not targets:
@@ -72,16 +73,8 @@ class RecoveryPolicy:
     def place_recovered(
         self, sim: "ClusterSimulator", job: Job, targets: List["MachineNode"]
     ) -> None:
+        """Restart a recovered ``job`` on one of ``targets``."""
         sim.start_job(job, sim.policy.place(job, targets))
-
-
-def _placement_nodes(sim) -> List["MachineNode"]:
-    """Nodes safe to place on: with a failure detector attached the
-    simulator excludes suspected/fenced nodes; otherwise all live ones."""
-    nodes = getattr(sim, "placement_nodes", None)
-    if nodes is not None:
-        return nodes()
-    return sim.live_nodes()
 
 
 class FailStop(RecoveryPolicy):
@@ -96,18 +89,19 @@ class EvacuateLive(RecoveryPolicy):
     name = "evacuate-live"
 
     def on_crash(self, sim, node, jobs):
-        two_phase = getattr(sim, "two_phase", False)
+        """Move each job to a reachable node: a two-phase hand-off when
+        a failure detector is attached, else an instant migration."""
         for job in jobs:
             live = [
                 n
-                for n in _placement_nodes(sim)
+                for n in sim.placement_nodes()
                 if sim.reachable(node.name, n.name)
             ]
             if not live:
                 sim.park(job, None, reason="no reachable node to evacuate to")
                 continue
             dst = sim.policy.place(job, live)
-            if two_phase:
+            if sim.detector is not None:
                 # Crash-consistent hand-off: PREPARE now, COMMIT only
                 # once the transfer lands on a still-alive destination
                 # (the simulator aborts and re-places on a mid-flight
@@ -154,12 +148,14 @@ class CheckpointRestart(RecoveryPolicy):
         self._next_due: Dict[int, float] = {}
 
     def reset(self) -> None:
+        """Forget every checkpoint and due time."""
         self._checkpoints.clear()
         self._next_due.clear()
 
     # ------------------------------------------------- checkpointing
 
     def note_progress(self, sim) -> None:
+        """Checkpoint every running job whose interval has elapsed."""
         for node in sim.nodes:
             if not node.up:
                 continue
@@ -180,6 +176,7 @@ class CheckpointRestart(RecoveryPolicy):
     # ------------------------------------------------------ recovery
 
     def on_crash(self, sim, node, jobs):
+        """Roll each job back to its last checkpoint and restore it."""
         for job in jobs:
             record = self._checkpoints.get(job.job_id)
             if record is not None:
@@ -201,7 +198,7 @@ class CheckpointRestart(RecoveryPolicy):
             self._restore(sim, job, image_isa)
 
     def _restore(self, sim, job: Job, image_isa: str) -> None:
-        live = _placement_nodes(sim)
+        live = sim.placement_nodes()
         same_isa = [n for n in live if n.isa_name == image_isa]
         if same_isa:
             self.place_recovered(sim, job, same_isa)
@@ -230,6 +227,7 @@ class CheckpointRestart(RecoveryPolicy):
         )
 
     def place_recovered(self, sim, job, targets):
+        """Restart ``job`` from its image, paying the restore downtime."""
         dst = sim.policy.place(job, targets)
         downtime = self._restore_downtime(sim, job)
         sim.start_job(job, dst)
@@ -264,6 +262,7 @@ RECOVERY_POLICIES = {
 
 
 def make_recovery(name: str, **kwargs) -> RecoveryPolicy:
+    """Build the recovery policy registered as ``name``."""
     try:
         return RECOVERY_POLICIES[name](**kwargs)
     except KeyError:

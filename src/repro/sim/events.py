@@ -89,21 +89,12 @@ class EventQueue:
         Returns ``None`` when the queue is empty or the head event is
         still in the future — the caller's loop terminates without
         having to compare times itself.  This is the primitive the
-        unified cluster loop uses to drain everything due "now".
+        cluster's run loop uses to drain everything due "now".
         """
         head = self.peek()
         if head is None or head.time > deadline:
             return None
         return self.pop()
-
-    def live(self) -> "list[Event]":
-        """A snapshot of the pending (non-cancelled) events, unsorted.
-
-        Exposed so schedulers built on the queue can ask questions like
-        "is any non-heartbeat event still pending?" without reaching
-        into the heap representation.
-        """
-        return [e for *_, e in self._heap if not e.cancelled]
 
 
 class Simulator:

@@ -450,12 +450,8 @@ class TestSplitBrain:
             checker.check(sim, outstanding=0)
             if not sim._in_flight and any(job in n.jobs for n in sim.nodes):
                 return
-            dt = sim._next_fault_dt()
-            if dt is None:
+            if not sim._step():
                 return
-            sim._advance(dt)
-            sim._collect_finished()
-            sim._apply_due_faults()
         raise AssertionError("hand-off never settled")
 
     def _sim(self, island, at=0.2, duration=6.0):
@@ -470,7 +466,7 @@ class TestSplitBrain:
 
     def _begin(self, sim, src, dst):
         job = Job(JobSpec("lu", "C", 1), arrival=0.0)
-        sim._start(job, sim._node_index[src])
+        sim.start_job(job, sim._node_index[src])
         sim._node_index[src].jobs.remove(job)
         sim.begin_handoff(job, src, sim._node_index[dst])
         return job

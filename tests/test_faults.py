@@ -20,6 +20,7 @@ from repro.faults import (
     LinkDegradation,
     NetworkPartition,
     NodeCrash,
+    NodeRepair,
     RetryPolicy,
     degraded_window,
     make_recovery,
@@ -78,6 +79,29 @@ class TestFaultSchedule:
     def test_random_schedule_needs_nodes(self):
         with pytest.raises(ValueError):
             random_crash_schedule(DeterministicRng(1), [], 10.0)
+
+
+class TestScheduleValidation:
+    """A bad fault schedule is rejected when the simulator is built,
+    not when the run reaches the bad event."""
+
+    def _build(self, *events):
+        return ClusterSimulator(
+            het_machines(), make_policy("dynamic-balanced"),
+            faults=FaultSchedule(events),
+        )
+
+    def test_crash_of_unknown_node_rejected(self):
+        with pytest.raises(ValueError, match="unknown node 'nope'"):
+            self._build(NodeCrash(5.0, "nope"))
+
+    def test_repair_of_unknown_node_rejected(self):
+        with pytest.raises(ValueError, match="unknown node 'nope'"):
+            self._build(NodeRepair(5.0, "nope"))
+
+    def test_negative_fault_time_rejected(self):
+        with pytest.raises(ValueError, match="before t=0"):
+            self._build(NodeCrash(time=-3.0, node="x86"))
 
 
 class TestFaultyMessaging:
@@ -194,7 +218,7 @@ class TestNodeIndex:
         sim = ClusterSimulator(het_machines(), make_policy("dynamic-balanced"))
         assert sim._node_index["x86"] is sim.nodes[1]
         job = Job(JobSpec("is", "A", 2), 0.0)
-        sim._start(job, sim.nodes[0])
+        sim.start_job(job, sim.nodes[0])
         assert sim._node_of(job) is sim.nodes[0]
 
     def test_unknown_machine_raises(self):
