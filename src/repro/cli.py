@@ -245,21 +245,22 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet", help="warehouse-scale fleet simulation: migrate a "
         "service population across the ISA boundary in waves "
         "(see docs/fleet.md)")
-    fleet.add_argument("--x86-nodes", type=int, default=8, metavar="N",
-                       help="x86-64 node count")
-    fleet.add_argument("--arm-nodes", type=int, default=8, metavar="N",
-                       help="arm64 node count")
-    fleet.add_argument("--slots", type=int, default=4, metavar="N",
-                       help="service slots per node")
-    fleet.add_argument("--services", type=int, default=24, metavar="N",
+    fleet.add_argument("--x86-nodes", type=_positive_int, default=8,
+                       metavar="N", help="x86-64 node count")
+    fleet.add_argument("--arm-nodes", type=_positive_int, default=8,
+                       metavar="N", help="arm64 node count")
+    fleet.add_argument("--slots", type=_positive_int, default=4,
+                       metavar="N", help="service slots per node")
+    fleet.add_argument("--services", type=_positive_int, default=24,
+                       metavar="N",
                        help="size of the migrating service population")
-    fleet.add_argument("--jobs", type=int, default=2000, metavar="N",
-                       help="total jobs in the arrival trace")
+    fleet.add_argument("--jobs", type=_positive_int, default=2000,
+                       metavar="N", help="total jobs in the arrival trace")
     fleet.add_argument("--traffic", default="steady",
                        choices=("steady", "diurnal", "flash-crowd"),
                        help="arrival-trace shape (see docs/serving.md)")
-    fleet.add_argument("--horizon", type=float, default=900.0, metavar="S",
-                       help="trace horizon in simulated seconds")
+    fleet.add_argument("--horizon", type=_positive, default=900.0,
+                       metavar="S", help="trace horizon in simulated seconds")
     fleet.add_argument("--seed", type=int, default=42,
                        help="run seed (same seed = bit-identical result)")
     fleet.add_argument("--canary", type=float, default=0.05, metavar="F",
@@ -274,18 +275,19 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--regression-threshold", type=float, default=0.05,
                        metavar="F", help="pause waves when SLO attainment "
                        "drops this far below the baked baseline")
-    fleet.add_argument("--slo-factor", type=float, default=8.0, metavar="F",
-                       help="latency SLO as a multiple of each service's "
-                       "source-ISA duration")
+    fleet.add_argument("--slo-factor", type=_positive, default=8.0,
+                       metavar="F", help="latency SLO as a multiple of "
+                       "each service's source-ISA duration")
     fleet.add_argument("--direction", default="x86-to-arm",
                        choices=("x86-to-arm", "arm-to-x86"),
                        help="which way the wave migrates")
     fleet.add_argument("--crash", type=int, default=None, metavar="IDX",
                        help="crash fleet node IDX mid-run (evacuate-live "
                        "failover; repairs after --repair-after)")
-    fleet.add_argument("--crash-at", type=float, default=None, metavar="T",
+    fleet.add_argument("--crash-at", type=_non_negative, default=None,
+                       metavar="T",
                        help="crash time (default: 40%% of the horizon)")
-    fleet.add_argument("--repair-after", type=float, default=None,
+    fleet.add_argument("--repair-after", type=_non_negative, default=None,
                        metavar="T", help="repair delay (default: 30%% of "
                        "the horizon)")
     fleet.add_argument("--nested", action="store_true",
@@ -960,7 +962,12 @@ def cmd_fleet(args) -> int:
 
         nested = NestedNodeSampler()
     rng = DeterministicRng(args.seed)
-    sim = FleetSimulator(config, policy, rng, faults=faults, nested=nested)
+    try:
+        sim = FleetSimulator(config, policy, rng, faults=faults,
+                             nested=nested)
+    except ValueError as exc:  # e.g. --crash names no fleet node
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     trace = make_trace(
         args.traffic, rng, requests=args.jobs, horizon_s=args.horizon
     )

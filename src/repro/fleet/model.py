@@ -165,6 +165,10 @@ class FleetConfig:
 
     def validate(self) -> None:
         """Reject configurations that cannot place their services."""
+        if self.services < 1:
+            raise ValueError(
+                f"services must be at least 1, got {self.services}"
+            )
         for isa in (self.source_isa, self.target_isa):
             if isa not in self.nodes:
                 raise ValueError(f"no nodes declared for ISA {isa!r}")

@@ -173,7 +173,7 @@ class FleetSimulator:
         for node in reversed(self.nodes):
             self._free_slots[node.isa].extend([node.idx] * config.slots_per_node)
 
-        self._check_fault_names()
+        self._check_faults()
 
         self.services: List[ServiceInstance] = []
         for sid in range(config.services):
@@ -231,9 +231,13 @@ class FleetSimulator:
 
     # ------------------------------------------------------------ setup
 
-    def _check_fault_names(self) -> None:
+    def _check_faults(self) -> None:
+        """Reject a fault schedule the fleet cannot apply: a partition,
+        an event before t=0, or a crash/repair of an unknown node."""
         total = len(self.nodes)
         for event in self.faults:
+            if event.time < 0:
+                raise ValueError(f"fault schedule acts before t=0: {event!r}")
             if event.kind == "partition":
                 raise ValueError(
                     "NetworkPartition is not supported by the fleet "

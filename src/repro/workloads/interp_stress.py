@@ -10,7 +10,7 @@ This module is the opposite: a long interpreted loop of register-only
 scalar ALU work (integer and floating point, including the truncating
 div/mod pair whose semantics the fast path inlines), with no Work
 bursts, no loads/stores and therefore no DSM traffic.  Its wall time
-is dispatch, which is exactly what ``tools/bench_interp.py`` measures
+is dispatch, which is exactly what ``tools/bench.py interp`` measures
 when it reports the fast-engine speedup recorded in
 ``BENCH_interp.json``.
 

@@ -36,6 +36,30 @@ class TestServeArgs:
         assert "must be" in capsys.readouterr().err
 
 
+class TestFleetArgs:
+    @pytest.mark.parametrize("argv", [
+        ["--x86-nodes", "0"],
+        ["--arm-nodes", "-2"],
+        ["--slots", "0"],
+        ["--services", "0"],
+        ["--jobs", "0"],
+        ["--horizon", "-5"],
+        ["--horizon", "nan"],
+        ["--slo-factor", "0"],
+        ["--crash", "1", "--crash-at", "-5"],
+        ["--crash", "1", "--repair-after", "inf"],
+        ["--crash", "999"],
+    ])
+    def test_bad_number_exits_2(self, argv, capsys):
+        try:
+            rc = main(["fleet", "--jobs", "50", *argv])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "must be" in err or "unknown fleet node" in err
+
+
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0

@@ -181,10 +181,10 @@ class TestFleetDocs:
 
     def test_documented_flags_exist(self):
         # Fleet flags live in cli.py; the bench's --check lives in
-        # tools/bench_fleet.py.
+        # tools/bench.py.
         sources = (
             (ROOT / "src" / "repro" / "cli.py").read_text()
-            + (ROOT / "tools" / "bench_fleet.py").read_text()
+            + (ROOT / "tools" / "bench.py").read_text()
         )
         for flag in sorted(set(re.findall(r"(--[a-z][\w-]+)",
                                           _read("docs/fleet.md")))):

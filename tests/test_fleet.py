@@ -9,6 +9,7 @@ from repro.faults import (
     LinkDegradation,
     NetworkPartition,
     NodeCrash,
+    NodeRepair,
 )
 from repro.fleet import (
     DEFAULT_SERVICE_MIX,
@@ -105,6 +106,11 @@ class TestFleetConfig:
     def test_missing_isa_rejected(self):
         with pytest.raises(ValueError):
             FleetConfig(nodes={"x86-64": 4}).validate()
+
+    @pytest.mark.parametrize("services", [0, -3])
+    def test_empty_population_rejected(self, services):
+        with pytest.raises(ValueError, match="services must be at least 1"):
+            FleetConfig(services=services).validate()
 
     def test_over_capacity_rejected(self):
         config = FleetConfig(
@@ -255,6 +261,16 @@ class TestFaults:
                 NetworkPartition(time=10.0, duration=50.0,
                                  island=("node-0",)),
             ]))
+
+    @pytest.mark.parametrize("event", [
+        NodeCrash(time=-5.0, node="node-1", repair_seconds=30.0),
+        NodeRepair(time=-1.0, node="node-1"),
+        LinkDegradation(time=-1.0, duration=50.0, bandwidth_factor=0.5),
+    ])
+    def test_event_before_t0_rejected_at_construction(self, event):
+        with pytest.raises(ValueError, match="acts before t=0"):
+            FleetSimulator(small_config(), quick_policy(),
+                           DeterministicRng(1), faults=FaultSchedule([event]))
 
     def test_unknown_node_rejected(self):
         with pytest.raises(ValueError, match="unknown fleet node"):
