@@ -16,13 +16,100 @@ Page-granularity MSI-style coherence across kernels:
 Bulk first-touch after a migration is served by :meth:`ensure_range`
 with pipelined bandwidth-limited timing — the multithreaded page-pull
 burst visible in Figure 11.
+
+Coherence is per page, but the directory is stored per *extent*: a run
+of consecutive pages in the same state is one entry of an
+:class:`ExtentMap`, so bulk operations cost one step per run of pages
+with the same state rather than one per page.
 """
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.linker.layout import PAGE_SIZE, page_of
 from repro.runtime.address_space import AddressSpace
+
+# Directory state of one extent: (owner, sharers, dirty, backup holder).
+# ``sharers`` holds every kernel with a valid copy, owner included;
+# ``dirty`` records a write through a coherence event (clean sole copies
+# of a dead kernel are refetchable from the binary image, dirty ones are
+# lost); ``backup`` names the kernel holding an out-of-band backup copy.
+PageState = Tuple[str, FrozenSet[str], bool, Optional[str]]
+
+
+class ExtentMap:
+    """Sorted, non-overlapping extents ``[start, end)`` of page states.
+
+    The map covers every page number: piece ``i`` spans
+    ``[starts[i], starts[i + 1])`` (the last one is unbounded) and holds
+    ``states[i]``, where ``None`` means untracked.  Neighbouring pieces
+    never hold equal states, so a run of pages in one state is one piece
+    however long it is.
+    """
+
+    def __init__(self):
+        self.starts: List[int] = [0]
+        self.states: List[object] = [None]
+
+    def get(self, page: int):
+        """State of ``page`` (``None`` if untracked)."""
+        return self.states[bisect_right(self.starts, page) - 1]
+
+    def pieces(self, lo: int, hi: int) -> List[Tuple[int, int, object]]:
+        """``(start, end, state)`` runs covering ``[lo, hi)``, clipped,
+        untracked gaps included."""
+        starts, states = self.starts, self.states
+        i = bisect_right(starts, lo) - 1
+        last = len(starts) - 1
+        out = []
+        while True:
+            end = starts[i + 1] if i < last else hi
+            if end >= hi:
+                out.append((lo, hi, states[i]))
+                return out
+            out.append((lo, end, states[i]))
+            lo = end
+            i += 1
+
+    def assign(self, lo: int, hi: int, state) -> None:
+        """Set every page of ``[lo, hi)`` to ``state``, splitting the
+        pieces the range cuts and merging equal neighbours."""
+        starts, states = self.starts, self.states
+        i = bisect_left(starts, lo)
+        j = bisect_right(starts, hi)
+        tail = states[j - 1]  # the state in force at ``hi``
+        new_starts, new_states = [], []
+        if i == 0 or states[i - 1] != state:
+            new_starts.append(lo)
+            new_states.append(state)
+        if tail != state:
+            new_starts.append(hi)
+            new_states.append(tail)
+        starts[i:j] = new_starts
+        states[i:j] = new_states
+
+    def extents(self) -> List[Tuple[int, int, object]]:
+        """``(start, end, state)`` of every tracked extent, in order."""
+        starts, states = self.starts, self.states
+        return [
+            (starts[i], starts[i + 1], state)
+            for i, state in enumerate(states) if state is not None
+        ]
+
+    def rewrite(self, fn: Callable[[int, int, object], object]) -> None:
+        """Replace each tracked extent's state with ``fn(start, end,
+        state)`` (``None`` untracks it), in page order, then merge."""
+        starts, states = [], []
+        old_starts = self.starts
+        for i, state in enumerate(self.states):
+            if state is not None:
+                state = fn(old_starts[i], old_starts[i + 1], state)
+            if states and states[-1] == state:
+                continue
+            starts.append(old_starts[i])
+            states.append(state)
+        self.starts, self.states = starts, states
 
 
 class LostPageError(RuntimeError):
@@ -56,6 +143,7 @@ class DsmStats:
     backup_bytes: int = 0
 
     def snapshot(self) -> "DsmStats":
+        """An independent copy of the counters."""
         return DsmStats(
             self.faults,
             self.page_transfers,
@@ -78,6 +166,16 @@ class ScrubReport:
     lost: int = 0  # dirty sole copies: marked lost, accesses fail loudly
 
 
+def _local(state, kernel: str, write: bool) -> bool:
+    """Can ``kernel`` access a page in ``state`` without a fault?"""
+    if state is None:
+        return True  # first touch anywhere is local (zero page)
+    sharers = state[1]
+    if write:
+        return state[0] == kernel and len(sharers) == 1 and kernel in sharers
+    return kernel in sharers
+
+
 class DsmService:
     """Per-process page coherence across the replicated kernels."""
 
@@ -92,12 +190,17 @@ class DsmService:
         self.space = space
         self.messaging = messaging
         self.home = home_kernel
-        self._aliased = space.aliased_pages()
-        # page -> owner kernel; absent means untouched (zero page),
-        # owned by whoever touches it first.
-        self._owner: Dict[int, str] = {}
-        # page -> kernels with a valid (read) copy, owner included.
-        self._valid: Dict[int, Set[str]] = {}
+        # Aliased pages as intervals (state True), one per aliased VMA.
+        self._aliased = ExtentMap()
+        for vma in space.vmas():
+            if vma.aliased:
+                pages = vma.pages
+                self._aliased.assign(pages.start, pages.stop, True)
+        # The coherence directory: page extents -> PageState.  Untracked
+        # pages (untouched zero pages) are owned by whoever touches them
+        # first.  Backup copies are *not* coherence sharers: they never
+        # serve faults, so MSI behaviour is unchanged by them.
+        self._dir = ExtentMap()
         self.stats = DsmStats()
         # Monotonic epoch: bumped on every residency change; lets the
         # engine cache "this whole range is local" checks.
@@ -114,15 +217,6 @@ class DsmService:
         # dirtying coherence event pushes the page to the owner's ring
         # successor, trading steady-state wire bandwidth for lost work.
         self.backup = bool(backup) and len(self.machines) > 1
-        # page -> kernel holding an out-of-band backup copy.  Backup
-        # copies are *not* coherence sharers: they never serve faults
-        # and never appear in _valid, so MSI behaviour is unchanged.
-        self._backup_of: Dict[int, str] = {}
-        # Pages ever dirtied through a coherence event (write fault,
-        # write first-touch, or bulk write pull).  Clean sole copies of
-        # a dead kernel are refetchable from the binary image; dirty
-        # ones are genuinely lost.
-        self._dirtied: Set[int] = set()
         # page -> dead kernel whose crash lost the page.
         self.lost_pages: Dict[int, str] = {}
         self._dead: Set[str] = set()
@@ -131,14 +225,11 @@ class DsmService:
     # ----------------------------------------------------------- faults
 
     def is_local(self, kernel: str, page: int, write: bool) -> bool:
-        if page in self._aliased:
+        """Can ``kernel`` read (or write) ``page`` without a coherence
+        fault?  Aliased and untouched pages are local everywhere."""
+        if self._aliased.get(page):
             return True
-        owner = self._owner.get(page)
-        if owner is None:
-            return True  # first touch anywhere is local (zero page)
-        if write:
-            return owner == kernel and self._valid.get(page) == {kernel}
-        return kernel in self._valid.get(page, set())
+        return _local(self._dir.get(page), kernel, write)
 
     def access(self, kernel: str, addr: int, write: bool) -> float:
         """Account one access; returns fault service time in seconds."""
@@ -146,40 +237,49 @@ class DsmService:
         if self.lost_pages and page in self.lost_pages:
             raise LostPageError(page, kernel, self.lost_pages[page])
         self.last_parties = (kernel,)
-        if self.is_local(kernel, page, write):
-            return self._note_first_touch(kernel, page, write)
-        return self._fault(kernel, page, write)
-
-    def _note_first_touch(self, kernel: str, page: int, write: bool = False) -> float:
-        if page not in self._owner and page not in self._aliased:
-            self._owner[page] = kernel
-            self._valid[page] = {kernel}
-            if write:
-                self._dirtied.add(page)
-                if self.backup:
-                    return self._push_backup(kernel, page)
-        elif write and page not in self._aliased:
-            # First *write* to a page the kernel already owns from a
-            # read first-touch: the engine's residency cache guarantees
-            # the first write of a page reaches access(), so dirtiness
-            # tracking at coherence granularity is complete.
-            self._dirtied.add(page)
-            if self.backup and page not in self._backup_of:
-                return self._push_backup(kernel, page)
-        return 0.0
-
-    def _backup_target(self, owner: str) -> Optional[str]:
-        machines = self.machines
-        if len(machines) < 2 or owner not in machines:
-            return None
-        return machines[(machines.index(owner) + 1) % len(machines)]
-
-    def _push_backup(self, owner: str, page: int) -> float:
-        """Replicate a dirty page to the owner's ring successor."""
-        target = self._backup_target(owner)
-        if target is None or target in self._dead:
+        if self._aliased.get(page):
             return 0.0
-        self._backup_of[page] = target
+        state = self._dir.get(page)
+        if not _local(state, kernel, write):
+            return self._fault(kernel, page, write)
+        home = self._touch_local(kernel, page, page + 1, state, write)
+        return 0.0 if home is None else self._push_backup(kernel, home)
+
+    def _touch_local(
+        self, kernel: str, lo: int, hi: int, state, write: bool
+    ) -> Optional[str]:
+        """Record a fault-free touch of ``[lo, hi)``, all in ``state``.
+
+        A first touch takes ownership; a first *write* marks the pages
+        dirty (the engine's residency cache guarantees the first write
+        of a page reaches the directory, so dirtiness tracking at
+        coherence granularity is complete).  Returns the backup home
+        each page must be pushed to, or ``None``.
+        """
+        if state is None:
+            home = self._backup_home(kernel) if write else None
+            self._dir.assign(lo, hi, (kernel, frozenset((kernel,)), write, home))
+            return home
+        if not write:
+            return None
+        owner, sharers, _dirty, backup = state
+        home = self._backup_home(kernel) if backup is None else None
+        new = (owner, sharers, True, backup if home is None else home)
+        if new != state:
+            self._dir.assign(lo, hi, new)
+        return home
+
+    def _backup_home(self, owner: str) -> Optional[str]:
+        """The live ring successor that backs up ``owner``'s dirty pages
+        (``None`` when backup replication is off or impossible)."""
+        machines = self.machines
+        if not self.backup or owner not in machines:
+            return None
+        target = machines[(machines.index(owner) + 1) % len(machines)]
+        return None if target in self._dead else target
+
+    def _push_backup(self, owner: str, target: str) -> float:
+        """Replicate one dirty page to the owner's ring successor."""
         self.stats.backup_pushes += 1
         self.stats.backup_bytes += PAGE_SIZE
         self.last_parties = tuple(
@@ -188,9 +288,10 @@ class DsmService:
         return self.messaging.send("dsm.backup", owner, target, PAGE_SIZE)
 
     def _fault(self, kernel: str, page: int, write: bool) -> float:
+        owner, sharers, dirty, backup = self._dir.get(page)
         if self.messaging.chaos is not None:
             if self.messaging.chaos_step(
-                "dsm.page", faulter=kernel, owner=self._owner[page]
+                "dsm.page", faulter=kernel, owner=owner
             ):
                 # The step crashed a kernel; the directory has been
                 # scrubbed under our feet.  Re-dispatch from scratch.
@@ -200,10 +301,6 @@ class DsmService:
                     raise KernelCrashed(kernel)
                 return self.access(kernel, page * PAGE_SIZE, write)
         self.stats.faults += 1
-        if write:
-            self._dirtied.add(page)
-        owner = self._owner[page]
-        sharers = self._valid.setdefault(page, {owner})
         cost = 0.0
         invalidated = 0
         # The page payload crosses the wire only when the faulting
@@ -233,12 +330,17 @@ class DsmService:
                 )
                 self.stats.invalidations += len(others)
                 invalidated = len(others)
-            self._valid[page] = {kernel}
-            self._owner[page] = kernel
-            if self.backup:
-                cost += self._push_backup(kernel, page)
+            home = self._backup_home(kernel)
+            self._dir.assign(page, page + 1, (
+                kernel, frozenset((kernel,)), True,
+                backup if home is None else home,
+            ))
+            if home is not None:
+                cost += self._push_backup(kernel, home)
         else:
-            sharers.add(kernel)
+            self._dir.assign(
+                page, page + 1, (owner, sharers | {kernel}, dirty, backup)
+            )
         self.epoch += 1
         tracer = getattr(self.messaging, "tracer", None)
         if tracer is not None:
@@ -264,7 +366,10 @@ class DsmService:
 
         Returns (seconds, pages_transferred).  Transfers are pipelined:
         one round-trip of latency plus bandwidth-limited payload time,
-        modelling the multithreaded hDSM pulling pages in bulk.
+        modelling the multithreaded hDSM pulling pages in bulk.  The
+        range is classified and rewritten one extent at a time, and
+        every count is the extent length times the per-page amount, so
+        the accounting equals that of one ``access`` per page.
         """
         if span <= 0:
             return (0.0, 0)
@@ -274,46 +379,22 @@ class DsmService:
             for lost_page, dead in self.lost_pages.items():
                 if first <= lost_page <= last:
                     raise LostPageError(lost_page, kernel, dead)
-        # Classify every page in one scan instead of calling
-        # ``is_local``/``_note_first_touch`` per page — bulk pulls span
-        # hundreds of thousands of pages and the two calls per page are
-        # the hottest loop in the whole simulator.  The classification
-        # reads exactly what ``is_local`` reads, so ``missing`` is the
-        # same list the per-page path would produce.
-        aliased = self._aliased
-        valid = self._valid
-        owner_get = self._owner.get
-        missing = []
-        fresh = []
-        dirtied_local = []
-        if write:
-            own_copy = {kernel}
-            for p in range(first, last + 1):
-                if p in aliased:
-                    continue
-                o = owner_get(p)
-                if o is None:
-                    fresh.append(p)
-                elif o == kernel and valid.get(p) == own_copy:
-                    dirtied_local.append(p)
-                else:
-                    missing.append(p)
-        else:
-            dirtied_local = ()
-            for p in range(first, last + 1):
-                if p in aliased:
-                    continue
-                o = owner_get(p)
-                if o is None:
-                    fresh.append(p)
-                elif kernel not in valid.get(p, ()):
-                    missing.append(p)
+        touched = []  # fault-free runs a touch may change: (lo, hi, state)
+        missing = []  # runs that fault: (lo, hi, state)
+        for lo, hi, aliased in self._aliased.pieces(first, last + 1):
+            if aliased:
+                continue
+            for piece in self._dir.pieces(lo, hi):
+                state = piece[2]
+                if not _local(state, kernel, write):
+                    missing.append(piece)
+                elif write or state is None:
+                    touched.append(piece)
         if self.messaging.chaos is not None:
-            owners = sorted({self._owner[p] for p in missing})
+            owners = sorted({state[0] for _lo, _hi, state in missing})
             if self.messaging.chaos_step(
-                "dsm.bulk", puller=kernel, *(), **{
-                    f"owner{i}": o for i, o in enumerate(owners)
-                }
+                "dsm.bulk", puller=kernel,
+                **{f"owner{i}": o for i, o in enumerate(owners)},
             ):
                 from repro.kernel.kernel import KernelCrashed
 
@@ -322,63 +403,50 @@ class DsmService:
                 return self.ensure_range(kernel, base, span, write)
         cost = 0.0
         self.last_parties = (kernel,)
-        if self.backup:
-            # Backup replication charges per-page costs; keep the
-            # exact per-page path for this opt-in ablation mode.
-            for p in range(first, last + 1):
-                cost += self._note_first_touch(kernel, p, write)
-        else:
-            # Inlined ``_note_first_touch`` over the classified pages:
-            # the same ownership/validity/dirtiness writes, batched.
-            # Every skipped call returned exactly 0.0, so ``cost`` is
-            # bit-identical.
-            owner = self._owner
-            for p in fresh:
-                owner[p] = kernel
-                valid[p] = {kernel}
-            if write:
-                dirtied = self._dirtied
-                dirtied.update(fresh)
-                dirtied.update(dirtied_local)
-                dirtied.update(missing)
+        for lo, hi, state in touched:
+            home = self._touch_local(kernel, lo, hi, state, write)
+            if home is not None:
+                for _ in range(hi - lo):
+                    cost += self._push_backup(kernel, home)
         if not missing:
             return (cost, 0)
         parties = set(self.last_parties)
+        faults = 0
         transfers = 0
         backups = 0
+        invalidated = 0
         inval_groups = set()
-        backup_target = self._backup_target(kernel) if self.backup else None
-        if backup_target in self._dead:
-            backup_target = None
-        inval_before = self.stats.invalidations
-        for page in missing:
-            owner = self._owner[page]
+        home = self._backup_home(kernel) if write else None
+        own_copy = frozenset((kernel,))
+        for lo, hi, (owner, sharers, dirty, backup) in missing:
+            pages = hi - lo
+            faults += pages
             parties.add(owner)
-            sharers = self._valid.setdefault(page, {owner})
             # Same accounting as a sequence of single faults: a page the
             # kernel already shares (write upgrade) moves no payload.
             if kernel not in sharers:
-                transfers += 1
+                transfers += pages
             if write:
-                others = [k for k in sharers if k != kernel]
+                others = sharers - own_copy
                 if others:
                     # Invalidation *counts* match the single-fault path
                     # (one per stale copy), but the messages are batched:
                     # a bulk pull invalidates a contiguous range with one
                     # range-invalidate broadcast per distinct sharer
                     # group, not one message per page.
-                    inval_groups.add(frozenset(others))
+                    inval_groups.add(others)
                     parties.update(others)
-                    self.stats.invalidations += len(others)
-                self._valid[page] = {kernel}
-                self._owner[page] = kernel
-                self._dirtied.add(page)
-                if backup_target is not None:
-                    self._backup_of[page] = backup_target
-                    parties.add(backup_target)
-                    backups += 1
+                    invalidated += len(others) * pages
+                if home is not None:
+                    parties.add(home)
+                    backups += pages
+                    backup = home
+                self._dir.assign(lo, hi, (kernel, own_copy, True, backup))
             else:
-                sharers.add(kernel)
+                self._dir.assign(
+                    lo, hi, (owner, sharers | own_copy, dirty, backup)
+                )
+        self.stats.invalidations += invalidated
         for group in sorted(inval_groups, key=sorted):
             cost += self.messaging.broadcast(
                 "dsm.inval", kernel, sorted(group), payload_bytes=32
@@ -387,7 +455,7 @@ class DsmService:
         # One logical fault per missing page — the bulk path is cheaper
         # than N single faults only in *time* (one round trip of latency
         # amortised over a pipelined burst), never in *accounting*.
-        self.stats.faults += len(missing)
+        self.stats.faults += faults
         self.stats.page_transfers += transfers
         self.stats.bytes_transferred += transfers * PAGE_SIZE
         if transfers:
@@ -412,16 +480,15 @@ class DsmService:
         self.epoch += 1
         tracer = getattr(self.messaging, "tracer", None)
         if tracer is not None:
-            invalidated = self.stats.invalidations - inval_before
             tracer.complete(
                 "dsm.bulk", "dsm", tracer.now(), cost, track=kernel,
-                pages=len(missing), transfers=transfers,
+                pages=faults, transfers=transfers,
                 bytes=transfers * PAGE_SIZE, write=write,
                 invalidations=invalidated,
             )
             metrics = tracer.metrics
             metrics.counter("dsm.bulk_pulls").inc()
-            metrics.counter("dsm.page_faults").inc(len(missing))
+            metrics.counter("dsm.page_faults").inc(faults)
             metrics.counter("dsm.bytes").inc(transfers * PAGE_SIZE)
             if invalidated:
                 metrics.counter("dsm.invalidations").inc(invalidated)
@@ -430,11 +497,54 @@ class DsmService:
 
     # ------------------------------------------------------- inspection
 
+    def extents(self) -> List[Tuple[int, int, PageState]]:
+        """``(start, end, state)`` of every tracked directory extent."""
+        return self._dir.extents()
+
+    def _page_view(self, field: int) -> Dict[int, object]:
+        """Per-page dict of one ``PageState`` field, untracked and
+        ``None`` values left out."""
+        view: Dict[int, object] = {}
+        for lo, hi, state in self._dir.extents():
+            if state[field] is not None:
+                view.update(dict.fromkeys(range(lo, hi), state[field]))
+        return view
+
+    def owner_map(self) -> Dict[int, str]:
+        """Per-page view: page -> owner kernel (built on each call)."""
+        return self._page_view(0)
+
+    def valid_map(self) -> Dict[int, FrozenSet[str]]:
+        """Per-page view: page -> kernels holding a valid copy (built on
+        each call)."""
+        return self._page_view(1)
+
+    def backup_map(self) -> Dict[int, str]:
+        """Per-page view: page -> kernel holding its backup copy (built
+        on each call)."""
+        return self._page_view(3)
+
+    def dirty_pages(self) -> Set[int]:
+        """Per-page view: tracked pages dirtied by a coherence event
+        (built on each call)."""
+        dirty: Set[int] = set()
+        for lo, hi, state in self._dir.extents():
+            if state[2]:
+                dirty.update(range(lo, hi))
+        return dirty
+
     def resident_pages(self, kernel: str) -> int:
-        return sum(1 for sharers in self._valid.values() if kernel in sharers)
+        """Number of pages ``kernel`` holds a valid copy of."""
+        return sum(
+            hi - lo for lo, hi, state in self._dir.extents()
+            if kernel in state[1]
+        )
 
     def owner_of(self, addr: int) -> Optional[str]:
-        return self._owner.get(page_of(addr))
+        """Owner kernel of the page holding ``addr`` (``None`` if the
+        page is untouched or aliased)."""
+        state = self._dir.get(page_of(addr))
+        return None if state is None else state[0]
 
     def all_threads_migrated_cleanup(self, kernel: str) -> int:
         """Drop residual copies once no thread runs on ``kernel``.
@@ -444,10 +554,17 @@ class DsmService:
         number of copies dropped.
         """
         dropped = 0
-        for page, sharers in list(self._valid.items()):
-            if kernel in sharers and self._owner.get(page) != kernel:
-                sharers.discard(kernel)
-                dropped += 1
+        drop = frozenset((kernel,))
+
+        def without(lo, hi, state):
+            nonlocal dropped
+            owner, sharers, dirty, backup = state
+            if kernel not in sharers or owner == kernel:
+                return state
+            dropped += hi - lo
+            return (owner, sharers - drop, dirty, backup)
+
+        self._dir.rewrite(without)
         if dropped:
             self.epoch += 1
         return dropped
@@ -463,42 +580,41 @@ class DsmService:
         pages revert to untouched (their content is refetchable from
         the binary image) and dirty pages are marked *lost* — any later
         access raises :class:`LostPageError` instead of reading zeros.
+        Backup copies stored *on* the dead kernel die with it.
         """
         report = ScrubReport(dead)
         self._dead.add(dead)
-        for page in sorted(self._valid):
-            sharers = self._valid[page]
-            owner = self._owner.get(page)
+        gone = frozenset((dead,))
+
+        def scrub(lo, hi, state):
+            pages = hi - lo
+            owner, sharers, dirty, backup = state
+            if backup == dead:
+                backup = None
             if dead in sharers:
-                sharers.discard(dead)
+                sharers = sharers - gone
                 if owner != dead:
-                    report.dropped_copies += 1
+                    report.dropped_copies += pages
             if owner != dead:
-                continue
+                return (owner, sharers, dirty, backup)
             if sharers:
-                self._owner[page] = min(sharers)
-                report.reowned += 1
-                continue
-            backup = self._backup_of.get(page)
-            del self._owner[page]
-            del self._valid[page]
+                report.reowned += pages
+                return (min(sharers), sharers, dirty, backup)
             if backup is not None and backup not in self._dead:
                 # The backup holder becomes the new owner; the copy it
                 # holds is the page as of its last replication.
-                self._owner[page] = backup
-                self._valid[page] = {backup}
-                report.reowned_from_backup += 1
-            elif page in self._dirtied:
-                self.lost_pages[page] = dead
-                report.lost += 1
+                report.reowned_from_backup += pages
+                return (backup, frozenset((backup,)), dirty, backup)
+            if dirty:
+                self.lost_pages.update(dict.fromkeys(range(lo, hi), dead))
+                report.lost += pages
             else:
                 # Never dirtied: content is still the loaded image, so
                 # the next toucher re-materialises it like a first touch.
-                report.refetchable += 1
-        # Backup copies stored *on* the dead kernel died with it.
-        for page, holder in list(self._backup_of.items()):
-            if holder == dead:
-                del self._backup_of[page]
+                report.refetchable += pages
+            return None
+
+        self._dir.rewrite(scrub)
         self.scrubs.append(report)
         # Residency caches across the system are stale now.
         self.epoch += 1
@@ -517,6 +633,7 @@ class DsmService:
 
     def references_kernel(self, kernel: str) -> bool:
         """Does any directory entry still route at ``kernel``?"""
-        if any(owner == kernel for owner in self._owner.values()):
-            return True
-        return any(kernel in sharers for sharers in self._valid.values())
+        return any(
+            state[0] == kernel or kernel in state[1]
+            for _lo, _hi, state in self._dir.extents()
+        )

@@ -3,10 +3,14 @@
 :class:`ValidatedDsmService` is a drop-in :class:`DsmService` that
 re-executes every residency-changing operation against an independent
 reference implementation of the intended MSI protocol and compares the
-full coherence state (owner map, sharer sets, traffic counters) after
-every ``access``/``ensure_range``/cleanup.  On top of the lock-step
-comparison it asserts the structural MSI invariants directly:
+full coherence state (owner map, sharer sets, backup and dirty sets,
+lost pages, traffic counters) after every ``access``/``ensure_range``/
+cleanup/scrub.  The service stores its directory as page extents; the
+shadow stays per page, and the comparison goes through the service's
+per-page views.  On top of the lock-step comparison it asserts the
+structural invariants directly:
 
+* the extents are canonical: sorted, disjoint, equal neighbours merged;
 * every tracked page has exactly one owner, and the owner holds a
   valid copy (owner ∈ sharer set);
 * sharer sets are never empty for tracked pages, and the owner/valid
@@ -109,22 +113,29 @@ class ShadowDsm:
         return transferred
 
     def access(self, kernel: str, page: int, write: bool) -> None:
+        """Apply one access to ``page``: a local touch or one fault."""
         if self._is_local(kernel, page, write):
             self._first_touch(kernel, page, write)
             return
         self._serve_fault(kernel, page, write)
 
     def ensure_range(self, kernel: str, base: int, span: int, write: bool) -> None:
+        """Apply a bulk pull: every page of the range is either touched
+        locally or served as one fault (never both, so a missing page
+        is pushed to its backup home exactly once)."""
         if span <= 0:
             return
         pages = range(page_of(base), page_of(base + span - 1) + 1)
         missing = [p for p in pages if not self._is_local(kernel, p, write)]
+        skip = set(missing)
         for p in pages:
-            self._first_touch(kernel, p, write)
+            if p not in skip:
+                self._first_touch(kernel, p, write)
         for p in missing:
             self._serve_fault(kernel, p, write)
 
     def cleanup(self, kernel: str) -> None:
+        """Drop ``kernel``'s copies of pages it does not own."""
         for page, sharers in self.valid.items():
             if kernel in sharers and self.owner.get(page) != kernel:
                 sharers.discard(kernel)
@@ -171,13 +182,14 @@ class ValidatedDsmService(DsmService):
             space, messaging, home_kernel, machines=machines, backup=backup
         )
         self.shadow = ShadowDsm(
-            self._aliased, machines=machines, backup=backup
+            space.aliased_pages(), machines=machines, backup=backup
         )
         self.log = log if log is not None else default_log()
 
     # ------------------------------------------------------ operations
 
     def access(self, kernel: str, addr: int, write: bool) -> float:
+        """:meth:`DsmService.access`, then the lock-step checks."""
         cost = super().access(kernel, addr, write)
         self.shadow.access(kernel, page_of(addr), write)
         self._check(f"access({kernel}, {addr:#x}, write={write})")
@@ -189,6 +201,7 @@ class ValidatedDsmService(DsmService):
         return cost
 
     def ensure_range(self, kernel, base, span, write):
+        """:meth:`DsmService.ensure_range`, then the lock-step checks."""
         cost, pages = super().ensure_range(kernel, base, span, write)
         self.shadow.ensure_range(kernel, base, span, write)
         self._check(
@@ -197,12 +210,16 @@ class ValidatedDsmService(DsmService):
         return cost, pages
 
     def all_threads_migrated_cleanup(self, kernel: str) -> int:
+        """:meth:`DsmService.all_threads_migrated_cleanup`, then the
+        lock-step checks."""
         dropped = super().all_threads_migrated_cleanup(kernel)
         self.shadow.cleanup(kernel)
         self._check(f"all_threads_migrated_cleanup({kernel})")
         return dropped
 
     def scrub_dead_kernel(self, dead: str):
+        """:meth:`DsmService.scrub_dead_kernel`, then the lock-step
+        checks."""
         report = super().scrub_dead_kernel(dead)
         self.shadow.scrub_dead(dead)
         self._check(f"scrub_dead_kernel({dead})")
@@ -212,8 +229,8 @@ class ValidatedDsmService(DsmService):
 
     def _fail(self, invariant: str, detail: str, extra=None) -> None:
         state = {
-            "owner": dict(sorted(self._owner.items())),
-            "valid": {p: sorted(s) for p, s in sorted(self._valid.items())},
+            "owner": dict(sorted(self.owner_map().items())),
+            "valid": {p: sorted(s) for p, s in sorted(self.valid_map().items())},
             "stats": vars(self.stats.snapshot()),
             "shadow_owner": dict(sorted(self.shadow.owner.items())),
             "shadow_valid": {
@@ -234,43 +251,55 @@ class ValidatedDsmService(DsmService):
         self._check_byte_conservation(op)
 
     def _check_structure(self, op: str) -> None:
-        if self._owner.keys() != self._valid.keys():
+        starts, states = self._dir.starts, self._dir.states
+        if (starts[0] != 0 or states[-1] is not None
+                or any(a >= b for a, b in zip(starts, starts[1:]))
+                or any(a == b for a, b in zip(states, states[1:]))):
             self._fail(
-                "owner-valid-same-pages",
-                f"after {op}: owner map and valid map track different pages",
+                "extents-canonical",
+                f"after {op}: directory extents are not sorted, disjoint "
+                "and merged",
                 {"op": op},
             )
-        for page, sharers in self._valid.items():
+        for lo, hi, (owner, sharers, _dirty, _backup) in self.extents():
+            if owner is None or sharers is None:
+                self._fail(
+                    "owner-valid-same-pages",
+                    f"after {op}: owner map and valid map track different "
+                    f"pages (extent {lo:#x}..{hi:#x})",
+                    {"op": op, "page": lo},
+                )
             if not sharers:
                 self._fail(
                     "sharers-nonempty",
-                    f"after {op}: page {page:#x} has an empty sharer set",
-                    {"op": op, "page": page},
+                    f"after {op}: page {lo:#x} has an empty sharer set",
+                    {"op": op, "page": lo},
                 )
-            if self._owner[page] not in sharers:
+            if owner not in sharers:
                 self._fail(
                     "owner-holds-copy",
-                    f"after {op}: owner {self._owner[page]!r} of page "
-                    f"{page:#x} holds no valid copy",
-                    {"op": op, "page": page},
+                    f"after {op}: owner {owner!r} of page "
+                    f"{lo:#x} holds no valid copy",
+                    {"op": op, "page": lo},
                 )
-            if page in self._aliased:
+            aliased = [a_lo for a_lo, _a_hi, a in self._aliased.pieces(lo, hi)
+                       if a]
+            if aliased:
                 self._fail(
                     "aliased-never-tracked",
-                    f"after {op}: aliased page {page:#x} entered the "
+                    f"after {op}: aliased page {aliased[0]:#x} entered the "
                     "owner/valid maps",
-                    {"op": op, "page": page},
+                    {"op": op, "page": aliased[0]},
                 )
-            if self._dead and (self._owner[page] in self._dead
-                               or sharers & self._dead):
+            if self._dead and (owner in self._dead or sharers & self._dead):
                 self._fail(
                     "no-dead-routes",
-                    f"after {op}: page {page:#x} still routes at a dead "
+                    f"after {op}: page {lo:#x} still routes at a dead "
                     "kernel (directory scrub incomplete)",
-                    {"op": op, "page": page, "dead": sorted(self._dead)},
+                    {"op": op, "page": lo, "dead": sorted(self._dead)},
                 )
         for page in self.lost_pages:
-            if page in self._owner or page in self._valid:
+            if self._dir.get(page) is not None:
                 self._fail(
                     "lost-pages-untracked",
                     f"after {op}: lost page {page:#x} still tracked in the "
@@ -279,13 +308,13 @@ class ValidatedDsmService(DsmService):
                 )
 
     def _check_shadow(self, op: str) -> None:
-        if self._owner != self.shadow.owner:
+        if self.owner_map() != self.shadow.owner:
             self._fail(
                 "shadow-owner-lockstep",
                 f"after {op}: owner map diverged from the reference model",
                 {"op": op},
             )
-        if self._valid != self.shadow.valid:
+        if self.valid_map() != self.shadow.valid:
             self._fail(
                 "shadow-valid-lockstep",
                 f"after {op}: sharer sets diverged from the reference "
@@ -300,11 +329,19 @@ class ValidatedDsmService(DsmService):
                 {"op": op, "lost": dict(self.lost_pages),
                  "shadow_lost": dict(self.shadow.lost)},
             )
-        if self._backup_of != self.shadow.backup_of:
+        if self.backup_map() != self.shadow.backup_of:
             self._fail(
                 "shadow-backup-lockstep",
                 f"after {op}: backup-copy map diverged from the reference "
                 "model",
+                {"op": op},
+            )
+        shadow_dirty = {p for p in self.shadow.dirtied if p in self.shadow.owner}
+        if self.dirty_pages() != shadow_dirty:
+            self._fail(
+                "shadow-dirty-lockstep",
+                f"after {op}: dirty-page set diverged from the reference "
+                "model (lost-vs-refetchable scrub decisions would differ)",
                 {"op": op},
             )
         real, ref = self.stats, self.shadow.stats

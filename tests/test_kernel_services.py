@@ -174,6 +174,36 @@ class TestDsm:
         dsm.access(A, PAGE_SIZE, write=True)
         assert dsm.resident_pages(A) == 2
 
+    def test_bulk_range_is_one_extent(self):
+        # The directory stores runs of same-state pages, not pages: a
+        # 2^20-page first touch and its re-touch leave one extent.
+        pages = 1 << 20
+        space = AddressSpace()
+        space.map_region(0, PAGE_SIZE * pages, "data")
+        dsm = DsmService(space, _messaging(), A)
+        assert dsm.ensure_range(A, 0, pages * PAGE_SIZE, write=True) == (
+            0.0, 0
+        )
+        epoch = dsm.epoch
+        assert dsm.ensure_range(A, 0, pages * PAGE_SIZE, write=True) == (
+            0.0, 0
+        )
+        assert dsm.extents() == [(0, pages, (A, frozenset({A}), True, None))]
+        assert dsm.resident_pages(A) == pages
+        assert len(dsm.extents()) == 1  # reading it created no entries
+        assert dsm.epoch == epoch
+
+    def test_partial_pull_splits_then_merges(self):
+        dsm = self._dsm()
+        dsm.ensure_range(A, 0, 8 * PAGE_SIZE, write=True)
+        dsm.ensure_range(B, 2 * PAGE_SIZE, 3 * PAGE_SIZE, write=False)
+        assert [(lo, hi) for lo, hi, _ in dsm.extents()] == [
+            (0, 2), (2, 5), (5, 8)
+        ]
+        assert dsm.resident_pages(B) == 3
+        assert dsm.all_threads_migrated_cleanup(B) == 3
+        assert [(lo, hi) for lo, hi, _ in dsm.extents()] == [(0, 8)]
+
 
 class TestNamespaces:
     def test_container_spans(self):

@@ -8,7 +8,7 @@ from repro.compiler.frame import build_frame_layout
 from repro.ir import FunctionBuilder, Module
 from repro.isa import ARM64, X86_64
 from repro.isa.types import ValueType as VT
-from repro.kernel.dsm import DsmService
+from repro.kernel.dsm import DsmService, ExtentMap, LostPageError
 from repro.kernel.messages import MessagingLayer
 from repro.linker import IsaObject, Symbol, align_symbols
 from repro.linker.layout import DEFAULT_VM_MAP, PAGE_SIZE, align_up
@@ -16,6 +16,8 @@ from repro.machine.interconnect import make_dolphin_pxh810
 from repro.runtime.address_space import AddressSpace
 from repro.runtime.heap import HeapAllocator
 from repro.sim.trace import TimeSeries
+from repro.telemetry.validation import ValidationLog
+from repro.validate.dsm_checker import ValidatedDsmService
 
 from tests.helpers import X86, run_to_completion
 
@@ -147,14 +149,101 @@ def test_dsm_single_writer_invariant(accesses):
     for kernel, page, write in accesses:
         cost = dsm.access(kernel, page * PAGE_SIZE, write)
         assert cost >= 0.0
+        owner, valid = dsm.owner_map(), dsm.valid_map()
         if write:
             # Single-writer: after a write the writer is the only holder.
-            assert dsm._valid[page] == {kernel}
-            assert dsm._owner[page] == kernel
+            assert valid[page] == {kernel}
+            assert owner[page] == kernel
         else:
-            assert kernel in dsm._valid[page]
+            assert kernel in valid[page]
         # The owner always holds a valid copy.
-        assert dsm._owner[page] in dsm._valid[page]
+        assert owner[page] in valid[page]
+
+
+@given(st.lists(
+    st.tuples(st.integers(0, 40), st.integers(1, 12),
+              st.sampled_from([None, "x", "y"])),
+    max_size=30,
+))
+@SLOW
+def test_extent_map_matches_per_page_dict(assigns):
+    extents, pages = ExtentMap(), {}
+    for lo, length, state in assigns:
+        extents.assign(lo, lo + length, state)
+        for page in range(lo, lo + length):
+            pages[page] = state
+        # Canonical: sorted, disjoint, equal neighbours merged.
+        assert extents.starts[0] == 0 and extents.states[-1] is None
+        assert extents.starts == sorted(set(extents.starts))
+        assert all(a != b for a, b in zip(extents.states,
+                                          extents.states[1:]))
+        for page in range(60):
+            assert extents.get(page) == pages.get(page)
+        # pieces() tiles the queried range with the per-page states.
+        cursor = 3
+        for lo, hi, state in extents.pieces(3, 57):
+            assert lo == cursor < hi
+            assert all(pages.get(p) == state for p in range(lo, hi))
+            cursor = hi
+        assert cursor == 57
+
+
+_KERNELS = ["a", "b", "c"]
+_PAGES = 24  # data, aliased text at pages 8-11, heap, aliased vDSO at 20
+
+_dsm_ops = st.one_of(
+    st.tuples(st.just("access"), st.integers(0, 2),
+              st.integers(0, _PAGES - 1), st.booleans()),
+    st.tuples(st.just("range"), st.integers(0, 2),
+              st.integers(0, _PAGES * PAGE_SIZE - 1),
+              st.integers(-1, 12 * PAGE_SIZE), st.booleans()),
+    st.tuples(st.just("cleanup"), st.integers(0, 2)),
+    st.tuples(st.just("scrub"), st.integers(0, 2)),
+)
+
+
+@given(st.booleans(), st.lists(_dsm_ops, min_size=1, max_size=30))
+@SLOW
+def test_dsm_extent_directory_matches_shadow(backup, ops):
+    """Random op sequences on the extent directory, checked after every
+    op in lock-step against the per-page MSI shadow model."""
+    space = AddressSpace()
+    space.map_region(0, PAGE_SIZE * 8, "data")
+    space.map_region(PAGE_SIZE * 8, PAGE_SIZE * 4, "text", aliased=True)
+    space.map_region(PAGE_SIZE * 12, PAGE_SIZE * 8, "heap")
+    space.map_region(PAGE_SIZE * 20, PAGE_SIZE, "vdso", aliased=True)
+    space.map_region(PAGE_SIZE * 21, PAGE_SIZE * 3, "stack")
+    dsm = ValidatedDsmService(
+        space, MessagingLayer(make_dolphin_pxh810()), "a",
+        machines=_KERNELS, backup=backup, log=ValidationLog(),
+    )
+    dead = set()
+    for op in ops:
+        kind, kernel = op[0], _KERNELS[op[1]]
+        if kernel in dead:
+            continue  # a fenced kernel issues nothing
+        try:
+            if kind == "access":
+                dsm.access(kernel, op[2] * PAGE_SIZE, op[3])
+            elif kind == "range":
+                dsm.ensure_range(kernel, op[2], op[3], op[4])
+            elif kind == "cleanup":
+                dsm.all_threads_migrated_cleanup(kernel)
+            elif len(dead) < len(_KERNELS) - 1:
+                dsm.scrub_dead_kernel(kernel)
+                dead.add(kernel)
+        except LostPageError:
+            pass  # raised before any state changed, on both sides
+        shadow = dsm.shadow
+        for k in _KERNELS:
+            assert dsm.resident_pages(k) == sum(
+                k in sharers for sharers in shadow.valid.values()
+            )
+            assert dsm.references_kernel(k) == any(
+                owner == k or k in shadow.valid[page]
+                for page, owner in shadow.owner.items()
+            )
+    assert dsm.lost_pages == dsm.shadow.lost
 
 
 # ------------------------------------------------------------------ heap

@@ -160,6 +160,31 @@ class TestBulkAccountingRegression:
         assert bulk.stats.invalidations == inval0 + 2 * pages  # A + B
         assert 0 < bulk_cost <= single_cost
 
+    @pytest.mark.parametrize("cls", [DsmService, ValidatedDsmService])
+    def test_bulk_backup_pull_matches_single_faults(self, cls):
+        # Clean remote pages with no backup record: a bulk write pull
+        # pushes each page to the backup home once, in the burst — the
+        # same count as one write fault per page.
+        pages = 4
+
+        def make():
+            space = AddressSpace()
+            space.map_region(0, PAGE_SIZE * 16, "data")
+            dsm = cls(space, _messaging(), A, machines=[A, B, C],
+                      backup=True)
+            for page in range(pages):
+                dsm.access(A, page * PAGE_SIZE, write=False)
+            return dsm
+
+        bulk, single = make(), make()
+        _, moved = bulk.ensure_range(B, 0, pages * PAGE_SIZE, write=True)
+        for page in range(pages):
+            single.access(B, page * PAGE_SIZE, write=True)
+        assert moved == pages
+        assert vars(bulk.stats) == vars(single.stats)
+        assert bulk.stats.backup_pushes == pages
+        assert bulk.backup_map() == single.backup_map()
+
     def test_bulk_upgrade_moves_no_payload(self):
         dsm = _dsm()
         pages = 3
@@ -358,8 +383,7 @@ def _buggy_fault(self, kernel, page, write):
     """The pre-fix _fault: charges a full-page RPC on every fault —
     including S->M upgrades and owner self-RPCs."""
     self.stats.faults += 1
-    owner = self._owner[page]
-    sharers = self._valid.setdefault(page, {owner})
+    owner, sharers, dirty, backup = self._dir.get(page)
     cost = self.messaging.rpc(
         "dsm.page", kernel, owner, request_bytes=32, reply_bytes=PAGE_SIZE
     )
@@ -372,12 +396,17 @@ def _buggy_fault(self, kernel, page, write):
                 "dsm.inval", kernel, others, payload_bytes=32
             )
             self.stats.invalidations += len(others)
-        self._valid[page] = {kernel}
-        self._owner[page] = kernel
+        new = (kernel, frozenset({kernel}), True, backup)
     else:
-        sharers.add(kernel)
+        new = (owner, sharers | {kernel}, dirty, backup)
+    self._dir.assign(page, page + 1, new)
     self.epoch += 1
     return cost
+
+
+def _corrupt(dsm, page, owner, sharers):
+    """Overwrite one page's directory extent (splitting it as needed)."""
+    dsm._dir.assign(page, page + 1, (owner, frozenset(sharers), True, None))
 
 
 class TestDsmCheckerFires:
@@ -404,7 +433,7 @@ class TestDsmCheckerFires:
     def test_empty_sharer_set(self, validation_on):
         dsm = _dsm(ValidatedDsmService)
         dsm.access(A, 0x10, write=True)
-        dsm._valid[0].clear()
+        _corrupt(dsm, 0, A, ())
         with pytest.raises(InvariantViolation) as exc:
             dsm.access(A, PAGE_SIZE, write=False)
         assert exc.value.invariant == "sharers-nonempty"
@@ -412,8 +441,7 @@ class TestDsmCheckerFires:
     def test_aliased_page_tracked(self, validation_on):
         dsm = _dsm(ValidatedDsmService)
         aliased = PAGE_SIZE * 32 // PAGE_SIZE
-        dsm._owner[aliased] = A
-        dsm._valid[aliased] = {A}
+        _corrupt(dsm, aliased, A, {A})
         dsm.shadow.owner[aliased] = A
         dsm.shadow.valid[aliased] = {A}
         with pytest.raises(InvariantViolation) as exc:
@@ -423,7 +451,7 @@ class TestDsmCheckerFires:
     def test_violation_carries_state_dump(self, validation_on):
         dsm = _dsm(ValidatedDsmService)
         dsm.access(A, 0x10, write=True)
-        dsm._valid[0].clear()
+        _corrupt(dsm, 0, A, ())
         with pytest.raises(InvariantViolation) as exc:
             dsm.access(B, 0x10, write=False)
         # B's fault re-adds itself to the emptied set, so the breakage
