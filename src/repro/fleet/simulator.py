@@ -9,7 +9,8 @@ other.  The simulator composes three existing layers:
 * job completions are *analytic*: each service is a single-server FIFO
   whose completion time is computed at arrival
   (``start = max(arrival, free_at)``), so a million jobs cost a million
-  flat-struct updates instead of a million heap events;
+  flat-struct updates instead of a million heap events, priced in one
+  loop per window of arrivals between two sparse events;
 * costs come from the node layer's models — durations from
   :func:`repro.datacenter.job.job_duration` (or nested PopcornSystem
   measurements via :class:`repro.datacenter.nested.NestedNodeSampler`),
@@ -27,6 +28,7 @@ fleet.
 """
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -186,14 +188,24 @@ class FleetSimulator:
             self.services.append(inst)
 
         # Per-service SLO target (slo_factor x source-ISA duration) and
-        # per-ISA duration tables, both indexed by sid so the hot
-        # arrival path is two list lookups.
+        # per-ISA duration and busy core-second tables (duration x the
+        # min(threads, cores) cores a job holds), all indexed by sid so
+        # the pricing loop does list lookups only.
         src = self.templates[config.source_isa]
         self._slo_by_sid = [
             config.slo_factor * src.duration(inst.spec) for inst in self.services
         ]
         self._durations_by_sid: Dict[str, List[float]] = {
             isa: [t.duration(inst.spec) for inst in self.services]
+            for isa, t in self.templates.items()
+        }
+        self._busy_by_sid: Dict[str, List[float]] = {
+            isa: [
+                duration * min(inst.spec.threads, t.cores)
+                for duration, inst in zip(
+                    self._durations_by_sid[isa], self.services
+                )
+            ]
             for isa, t in self.templates.items()
         }
 
@@ -206,6 +218,7 @@ class FleetSimulator:
         self._baseline_attainment: Optional[float] = None
         self._window_offered = 0
         self._window_in_slo = 0
+        self._priced = 0  # arrivals priced so far (trace cursor)
         self._stranded: List[int] = []  # sids awaiting a free slot
         self._latencies: List[float] = []
         self._makespan = 0.0
@@ -270,38 +283,71 @@ class FleetSimulator:
 
     # ------------------------------------------------------------- jobs
 
-    def _handle_job(self, t: float, sid: int) -> None:
-        inst = self.services[sid]
-        node = self.nodes[inst.node_idx]
-        if not node.alive:
-            # Stranded service (its node died with the fleet full).
-            self._counters["shed"] += 1
-            self._window_offered += 1
-            return
-        duration = self._durations_by_sid[inst.isa][sid]
-        start = inst.free_at if inst.free_at > t else t
-        done = start + duration
-        inst.free_at = done
-        inst.jobs_done += 1
-        inst.busy_seconds += duration
-        cores = min(inst.spec.threads, self.templates[inst.isa].cores)
-        busy = duration * cores
-        inst.busy_core_seconds += busy
-        node.busy_core_seconds += busy
-        self._jobs_by_isa[inst.isa] += 1
-        latency = done - t
-        self._latencies.append(latency)
-        in_slo = latency <= self._slo_by_sid[sid]
-        if in_slo:
-            inst.jobs_in_slo += 1
-            self._counters["in_slo"] += 1
-        else:
-            self._counters["violations"] += 1
-        self._counters["completed"] += 1
-        self._window_offered += 1
+    def _price(
+        self, times: Sequence[float], lo: int, hi: int, getrandbits
+    ) -> None:
+        """Price arrivals ``times[lo:hi]``, in arrival order.
+
+        No sparse event falls inside the window, so placement, node
+        liveness and per-ISA durations are fixed across it; only the
+        service queues evolve.  Each arrival draws its service from
+        ``getrandbits`` with the rejection loop ``randrange`` runs, so
+        the draws equal ``randrange(services)`` on the same stream.
+        Float state (``free_at``, busy seconds, makespan) is updated
+        job by job: bucketing jobs by service would reorder the
+        per-node float sums and change the result.
+        """
+        services = self.services
+        nodes = self.nodes
+        durations = self._durations_by_sid
+        busy_by_sid = self._busy_by_sid
+        slo = self._slo_by_sid
+        jobs_by_isa = self._jobs_by_isa
+        latency = self._latencies.append
+        n = len(services)
+        k = n.bit_length()
+        makespan = self._makespan
+        shed = 0
+        in_slo = 0
+        for i in range(lo, hi):
+            sid = getrandbits(k)
+            while sid >= n:
+                sid = getrandbits(k)
+            inst = services[sid]
+            node = nodes[inst.node_idx]
+            if not node.alive:
+                # Stranded service (its node died with the fleet full).
+                shed += 1
+                continue
+            t = times[i]
+            isa = inst.isa
+            duration = durations[isa][sid]
+            free = inst.free_at
+            done = (free if free > t else t) + duration
+            inst.free_at = done
+            inst.jobs_done += 1
+            inst.busy_seconds += duration
+            busy = busy_by_sid[isa][sid]
+            inst.busy_core_seconds += busy
+            node.busy_core_seconds += busy
+            jobs_by_isa[isa] += 1
+            wait = done - t
+            latency(wait)
+            if wait <= slo[sid]:
+                inst.jobs_in_slo += 1
+                in_slo += 1
+            if done > makespan:
+                makespan = done
+        self._makespan = makespan
+        completed = hi - lo - shed
+        c = self._counters
+        c["completed"] += completed
+        c["shed"] += shed
+        c["in_slo"] += in_slo
+        c["violations"] += completed - in_slo
+        self._window_offered += hi - lo
         self._window_in_slo += in_slo
-        if done > self._makespan:
-            self._makespan = done
+        self._priced = hi
 
     # ------------------------------------------------------------ waves
 
@@ -518,36 +564,27 @@ class FleetSimulator:
     def run(self, trace: ArrivalTrace) -> FleetRunResult:
         """Drive the trace's arrivals through waves and faults.
 
-        Arrivals are drained from a cursor between sparse events: every
-        arrival with ``time <= next event`` is priced analytically,
-        then the event fires.  Same seed, same config ⇒ bit-identical
-        result (the checksum test relies on this).
+        Arrivals are priced a window at a time between sparse events:
+        every arrival with ``time <= next event`` is priced analytically
+        (:meth:`_price`), then the event fires.  Same seed, same config
+        ⇒ bit-identical result (the checksum test relies on this).
         """
         self._schedule(trace.horizon_s)
-        assign = self.rng.stream("fleet.assign")
-        services = self.config.services
+        getrandbits = self.rng.stream("fleet.assign").getrandbits
         times = trace.times
         n = len(times)
-        cursor = 0
         queue = self._sim.queue
         clock = self._sim.clock
         while True:
             head = queue.peek()
-            bound = head.time if head is not None else float("inf")
-            while cursor < n and times[cursor] <= bound:
-                t = times[cursor]
-                self._handle_job(t, assign.randrange(services))
-                cursor += 1
+            lo = self._priced
+            hi = n if head is None else bisect_right(times, head.time, lo)
+            self._price(times, lo, hi, getrandbits)
             if head is None:
                 break
             event = queue.pop()
             clock.advance_to(event.time)
             event.action()
-        if cursor < n:  # events ended before the trace did
-            while cursor < n:
-                t = times[cursor]
-                self._handle_job(t, assign.randrange(services))
-                cursor += 1
         self._counters["offered"] = n
         end = max(trace.horizon_s, self._makespan)
         if end > clock.now:

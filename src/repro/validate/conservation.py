@@ -184,6 +184,9 @@ class FleetConservationChecker:
     * counter conservation — completed/in-SLO/stall totals equal the
       sums over services, and per-node busy core-seconds equal the
       per-service busy seconds weighted by granted cores;
+    * arrival conservation — every arrival priced so far (the run
+      loop's trace cursor) was either completed or shed, so a pricing
+      window that skips or repeats an arrival at its bound is caught;
     * monotonicity — per-service ``free_at`` and the global counters
       never decrease between checks.
     """
@@ -201,6 +204,7 @@ class FleetConservationChecker:
             "services": len(sim.services),
             "nodes": len(sim.nodes),
             "counters": dict(sim._counters),
+            "priced": sim._priced,
             "stranded": list(sim._stranded),
         }
         violation = InvariantViolation(self.CHECKER, invariant, detail, state)
@@ -213,6 +217,7 @@ class FleetConservationChecker:
         self._check_slots(sim, where)
         self._check_placement(sim, where)
         self._check_counters(sim, where)
+        self._check_arrivals(sim, where)
         self._check_monotonicity(sim, where)
 
     def _check_slots(self, sim, where: str) -> None:
@@ -294,6 +299,15 @@ class FleetConservationChecker:
                 sim, "busy-conservation",
                 f"[{where}] per-service busy core-seconds {by_service} "
                 f"!= per-node total {by_node}",
+            )
+
+    def _check_arrivals(self, sim, where: str) -> None:
+        c = sim._counters
+        if c["completed"] + c["shed"] != sim._priced:
+            self._fail(
+                sim, "arrival-conservation",
+                f"[{where}] completed {c['completed']} + shed {c['shed']} "
+                f"!= arrivals priced {sim._priced}",
             )
 
     def _check_monotonicity(self, sim, where: str) -> None:

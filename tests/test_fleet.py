@@ -1,6 +1,8 @@
 """Fleet simulator tests: wave policies, determinism, faults, scale."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import validate
 from repro.datacenter.job import JobSpec
@@ -22,7 +24,10 @@ from repro.fleet import (
 from repro.fleet.model import parse_node_name, service_migration_cost
 from repro.fleet.waves import plan_counts
 from repro.serving import make_trace
+from repro.serving.traffic import ArrivalTrace
 from repro.sim.rng import DeterministicRng
+from repro.telemetry.validation import ValidationLog
+from repro.validate.errors import InvariantViolation
 
 #: A fast service mix (no ep): keeps queueing small so light-load tests
 #: complete their ramp without tripping the regression gate.
@@ -297,8 +302,6 @@ class TestValidatedRun:
         faults = FaultSchedule([
             NodeCrash(time=2000.0, node=node_name(3), repair_seconds=900.0),
         ])
-        from repro.telemetry.validation import ValidationLog
-
         log = ValidationLog()
         validate.set_enabled(True)
         try:
@@ -395,3 +398,224 @@ class TestFleetCli:
             "--slots", "1", "--services", "99",
         ])
         assert rc == 2
+
+
+# ------------------------------------------------------- window pricing
+
+class ReferenceFleet(FleetSimulator):
+    """The per-arrival pricer: one method call and one ``randrange``
+    draw per job, drained from a cursor between sparse events.  The
+    window loop must reproduce it bit for bit."""
+
+    def _price_arrival(self, t, sid):
+        inst = self.services[sid]
+        node = self.nodes[inst.node_idx]
+        self._priced += 1
+        self._window_offered += 1
+        if not node.alive:
+            self._counters["shed"] += 1
+            return
+        duration = self._durations_by_sid[inst.isa][sid]
+        start = inst.free_at if inst.free_at > t else t
+        done = start + duration
+        inst.free_at = done
+        inst.jobs_done += 1
+        inst.busy_seconds += duration
+        cores = min(inst.spec.threads, self.templates[inst.isa].cores)
+        busy = duration * cores
+        inst.busy_core_seconds += busy
+        node.busy_core_seconds += busy
+        self._jobs_by_isa[inst.isa] += 1
+        latency = done - t
+        self._latencies.append(latency)
+        in_slo = latency <= self._slo_by_sid[sid]
+        if in_slo:
+            inst.jobs_in_slo += 1
+            self._counters["in_slo"] += 1
+        else:
+            self._counters["violations"] += 1
+        self._counters["completed"] += 1
+        self._window_in_slo += in_slo
+        if done > self._makespan:
+            self._makespan = done
+
+    def run(self, trace):
+        self._schedule(trace.horizon_s)
+        assign = self.rng.stream("fleet.assign")
+        times = trace.times
+        cursor = 0
+        queue = self._sim.queue
+        clock = self._sim.clock
+        while True:
+            head = queue.peek()
+            bound = head.time if head is not None else float("inf")
+            while cursor < len(times) and times[cursor] <= bound:
+                self._price_arrival(
+                    times[cursor], assign.randrange(self.config.services)
+                )
+                cursor += 1
+            if head is None:
+                break
+            event = queue.pop()
+            clock.advance_to(event.time)
+            event.action()
+        self._counters["offered"] = len(times)
+        end = max(trace.horizon_s, self._makespan)
+        if end > clock.now:
+            clock.advance_to(end)
+        if self._checker is not None:
+            self._checker.check(self, "end")
+        return self._finish(trace, end)
+
+
+def snapped_trace(seed, jobs, horizon):
+    """A steady trace with every third arrival moved onto a whole
+    second, so arrivals tie with (whole-second) wave and fault times
+    and land exactly on a window bound."""
+    times = make_trace(
+        "steady", DeterministicRng(seed), requests=jobs, horizon_s=horizon
+    ).times
+    snapped = sorted(
+        float(round(t)) if i % 3 == 0 else t for i, t in enumerate(times)
+    )
+    return ArrivalTrace("steady", horizon, tuple(snapped))
+
+
+def both_pricers(config, policy, seed, trace, faults):
+    """(window loop result, reference result) on one fleet."""
+    return [
+        cls(config, policy, DeterministicRng(seed),
+            faults=FaultSchedule(faults), service_mix=FAST_MIX).run(trace)
+        for cls in (FleetSimulator, ReferenceFleet)
+    ]
+
+
+@st.composite
+def fleets(draw):
+    """A small fleet, wave policy, trace and fault schedule.
+
+    With ``strand`` set the source ISA is full and every target node
+    dies at t=1, so a later source crash has nowhere to evacuate to
+    and strands its services until (if ever) the node is repaired.
+    """
+    x86 = draw(st.integers(2, 16))
+    arm = draw(st.integers(2, 16))
+    slots = draw(st.integers(1, 4))
+    horizon = float(draw(st.sampled_from([300, 1200, 3600])))
+    strand = draw(st.booleans())
+    whole_s = st.integers(0, int(horizon))
+    events = []
+    if strand:
+        arm = max(arm, x86)
+        services = x86 * slots
+        events += [NodeCrash(time=1.0, node=node_name(x86 + i),
+                             permanent=True) for i in range(arm)]
+    else:
+        services = draw(st.integers(1, min(x86, arm) * slots))
+    for _ in range(draw(st.integers(0, 4))):
+        node = node_name(draw(st.integers(0, x86 + arm - 1)))
+        time = float(draw(whole_s))
+        if draw(st.booleans()):
+            events.append(NodeCrash(time=time, node=node, permanent=True))
+        else:
+            events.append(NodeCrash(
+                time=time, node=node,
+                repair_seconds=float(draw(st.integers(1, int(horizon)))),
+            ))
+    for _ in range(draw(st.integers(0, 2))):
+        events.append(LinkDegradation(
+            time=float(draw(whole_s)),
+            duration=float(draw(st.integers(1, int(horizon)))),
+            bandwidth_factor=draw(st.sampled_from([0.1, 0.25, 0.5])),
+        ))
+    config = small_config(
+        nodes={"x86-64": x86, "arm64": arm}, slots_per_node=slots,
+        services=services,
+    )
+    policy = quick_policy(
+        wave_interval_s=float(draw(st.sampled_from([30, 60, 300]))),
+        bake_s=float(draw(st.sampled_from([0, 60, 600]))),
+    )
+    seed = draw(st.integers(0, 2**16))
+    trace = snapped_trace(seed, draw(st.integers(0, 5000)), horizon)
+    return config, policy, seed, trace, events
+
+
+class TestWindowPricing:
+    @given(fleets())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_matches_per_arrival_reference(self, fleet):
+        config, policy, seed, trace, events = fleet
+        window, reference = both_pricers(config, policy, seed, trace, events)
+        assert window.checksum() == reference.checksum()
+        assert window == reference
+
+    def test_stranding_crash_matches_reference(self):
+        # The strand shape of the generator, pinned: node 0 dies with
+        # the source full and every target node down, so its services
+        # shed until the repair resumes them in place, and both
+        # pricers agree on every shed arrival.
+        config = small_config(
+            nodes={"x86-64": 2, "arm64": 2}, slots_per_node=2, services=4
+        )
+        faults = [NodeCrash(time=1.0, node=node_name(i), permanent=True)
+                  for i in (2, 3)]
+        faults.append(
+            NodeCrash(time=120.0, node=node_name(0), repair_seconds=240.0)
+        )
+        window, reference = both_pricers(
+            config, quick_policy(), 5, snapped_trace(5, 3000, 600.0), faults
+        )
+        assert window.jobs_shed > 0 and window.repairs == 1
+        assert window.checksum() == reference.checksum()
+        assert window == reference
+
+    @pytest.mark.parametrize(
+        "services", [1, 2, 3, 192, 1500, 1024, 1025, 256, 257]
+    )
+    def test_draw_matches_randrange(self, services):
+        # Every arrival completes (no faults), so each service's
+        # jobs_done counts the draws that named it, and the stream's
+        # end state pins how many getrandbits words were consumed.
+        jobs = 4000
+        config = FleetConfig(
+            nodes={"x86-64": 375, "arm64": 375}, slots_per_node=4,
+            services=services,
+        )
+        rng = DeterministicRng(3)
+        sim = FleetSimulator(config, quick_policy(), rng)
+        sim.run(make_trace("steady", DeterministicRng(3), requests=jobs,
+                           horizon_s=600.0))
+        expected = [0] * services
+        draw = DeterministicRng(3).stream("fleet.assign")
+        for _ in range(jobs):
+            expected[draw.randrange(services)] += 1
+        assert [inst.jobs_done for inst in sim.services] == expected
+        assert rng.stream("fleet.assign").getstate() == draw.getstate()
+
+    def test_off_by_one_window_fires_arrival_conservation(self):
+        # A window that hands its last arrival to the next window too
+        # prices it twice; the checker sees completed + shed run ahead
+        # of the arrivals priced at the next sparse event.
+        class Overlapping(FleetSimulator):
+            def _price(self, times, lo, hi, getrandbits):
+                super()._price(times, lo, hi, getrandbits)
+                if hi > lo:
+                    self._priced = hi - 1
+
+        validate.set_enabled(True)
+        try:
+            sim = Overlapping(small_config(), quick_policy(),
+                              DeterministicRng(42), service_mix=FAST_MIX)
+            sim._checker.log = ValidationLog()
+            with pytest.raises(InvariantViolation) as caught:
+                sim.run(make_trace("steady", DeterministicRng(42),
+                                   requests=600, horizon_s=600.0))
+        finally:
+            validate.set_enabled(None)
+        assert caught.value.invariant == "arrival-conservation"
+        assert caught.value.state["priced"] < sum(
+            caught.value.state["counters"][key]
+            for key in ("completed", "shed")
+        )
