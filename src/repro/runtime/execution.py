@@ -44,7 +44,8 @@ from repro.kernel.syscall import SyscallHandler
 
 
 class ExecutionError(Exception):
-    pass
+    """A run the engine cannot continue: deadlock, stack overflow, a
+    runaway program, an unresolvable symbol or a faulting conversion."""
 
 
 class ProcessExit(Exception):

@@ -31,23 +31,33 @@ compiled region:
 * inlines operand access (registers, frame slots), DSM residency
   pre-checks, and operator semantics from the shared
   :mod:`repro.ir.semantics` tables;
-* checks the remaining slice budget before every block and hands
+* checks the remaining slice budget before every chunk and hands
   control back to the engine shell at calls, returns, migrations,
   syscalls, and slice exhaustion.
+
+One emitter, :meth:`_RegionBuilder.gen_chunk`, lowers every
+instruction kind once, in one of two accounting modes: *closed form*
+(chained costs behind one budget gate per chunk) and *per
+instruction* (a budget check and a cost statement per instruction),
+which a whole-function region enters when the remaining budget cannot
+cover the closed form, so the slice ends inside compiled code.
+Single-chunk resume stubs hand such a tail to the inherited
+``_interp_slice`` instead (``_TAIL``).
 
 The scheduler, commit points, slice structure (256-instruction
 budget), syscall layer, migration path, and DSM are all inherited
 unchanged, which is why every ``RunResult`` fact and golden checksum
-is reproduced bit for bit.  When the remaining budget cannot cover the
-next block the engine falls back to the inherited ``_interp_slice``
-for the rest of the slice, preserving the exact interleaving.
+is reproduced bit for bit.
 
 Cross-validation (``REPRO_VALIDATE=1``): regions shrink to single
-blocks and, after each one runs, the engine replays its instruction
-range against the *exact* interpreter's independently derived cycle
-tables, raising :class:`FastForwardDivergence` on the first
-cycles/instret mismatch — this is what catches a stale or corrupted
-block summary.
+closed-form chunks and, after each one runs, the engine replays its
+instruction range against the *exact* interpreter's independently
+derived cycle tables, raising :class:`FastForwardDivergence` on the
+first cycles/instret mismatch — this is what catches a stale or
+corrupted block summary.  A short-budget tail goes to the exact
+interpreter (``_TAIL``) rather than the per-instruction mode, so that
+mode is covered by the fast/exact equivalence tests, not by the
+replay; its lowering is the same code the replay checks.
 """
 
 from typing import Dict, List, Tuple
@@ -75,7 +85,6 @@ from repro.isa.isa import InstrClass
 from repro.runtime.execution import ExecutionEngine, ExecutionError
 from repro.validate import enabled as _validate_enabled
 from repro.validate.errors import InvariantViolation
-
 
 
 class FastForwardDivergence(InvariantViolation):
@@ -164,15 +173,15 @@ _CODE_CACHE: Dict[str, object] = {}
 class _Region:
     """A compiled dispatch function plus the entry label to start at."""
 
-    __slots__ = ("fn", "source", "entry")
+    __slots__ = ("fn", "entry")
 
-    def __init__(self, fn, source: str, entry: int):
+    def __init__(self, fn, entry: int):
         self.fn = fn
-        self.source = source
         self.entry = entry
 
     def at_entry(self, entry: int) -> "_Region":
-        return _Region(self.fn, self.source, entry)
+        """The same compiled function, entered at label ``entry``."""
+        return _Region(self.fn, entry)
 
 
 class _RegionBuilder:
@@ -226,9 +235,11 @@ class _RegionBuilder:
     # --------------------------------------------------- emit helpers
 
     def emit(self, line: str, depth: int = 0) -> None:
+        """Append one source line, indented ``depth`` levels."""
         self.lines.append("    " * depth + line)
 
     def fresh(self) -> str:
+        """A new region-local temporary name."""
         self._tmp += 1
         return f"t{self._tmp}"
 
@@ -239,6 +250,7 @@ class _RegionBuilder:
         return name
 
     def flush(self, depth: int = 0) -> None:
+        """Emit the pending cycle and instret chains, then clear them."""
         # One chained statement == the same sequence of left-to-right
         # binary additions the interpreter performs; folding the
         # constants into one sum would reassociate and break
@@ -250,7 +262,18 @@ class _RegionBuilder:
             self.emit("instret = instret + " + " + ".join(self.pend_i), depth)
             del self.pend_i[:]
 
+    def resident(self, addr: str, write: bool, depth: int = 0) -> None:
+        """Emit the DSM residency pre-check for the word at ``addr``.
+
+        A page already in the thread's read (``_c1``) or write (``_c2``)
+        set costs nothing; otherwise ``_dsm_charge`` faults it in and
+        the cost lands in ``extra``, as in ``_interp_slice``.
+        """
+        self.emit(f"if ({addr} >> 12) not in _c{2 if write else 1}:", depth)
+        self.emit(f"    extra = extra + _dc(thread, {addr}, {write})", depth)
+
     def read(self, op, depth: int = 0) -> str:
+        """Emit the load of operand ``op``; return an expression for it."""
         if not isinstance(op, str):
             return repr(op)
         where = self.loc[op]
@@ -258,12 +281,12 @@ class _RegionBuilder:
             return self.regmap[where[1]]
         t = self.fresh()
         self.emit(f"{t}a = cfa - {where[1]}", depth)
-        self.emit(f"if ({t}a >> 12) not in _c1:", depth)
-        self.emit(f"    extra = extra + _dc(thread, {t}a, False)", depth)
+        self.resident(f"{t}a", False, depth)
         self.emit(f"{t} = _mg({t}a, 0)", depth)
         return t
 
     def write(self, name: str, expr: str, depth: int = 0) -> None:
+        """Emit the store of ``expr`` to variable ``name``."""
         where = self.loc[name]
         if where[0] == "r":
             self.emit(f"{self.regmap[where[1]]} = {expr}", depth)
@@ -271,8 +294,7 @@ class _RegionBuilder:
         t = self.fresh()
         self.emit(f"{t} = {expr}", depth)
         self.emit(f"{t}a = cfa - {where[1]}", depth)
-        self.emit(f"if ({t}a >> 12) not in _c2:", depth)
-        self.emit(f"    extra = extra + _dc(thread, {t}a, True)", depth)
+        self.resident(f"{t}a", True, depth)
         self.emit(f"mem[{t}a] = {t}", depth)
 
     # ------------------------------------------------- region growing
@@ -310,41 +332,65 @@ class _RegionBuilder:
 
     # ------------------------------------------------ chunk generation
 
-    def gen_chunk(self, block: str, start: int) -> None:
+    def gen_chunk(self, block: str, start: int, partial: bool) -> None:
         """Generate one chunk: instructions from ``start`` to the
         chunk's exit (branch, call, return, syscall, or block end).
 
         The generated statements perform the same state updates and
         the same per-accumulator float additions, in the same order,
-        as ``_interp_slice`` stepping the same instructions.
+        as ``_interp_slice`` stepping the same instructions.  The two
+        modes differ only in accounting:
+
+        * closed form (``partial=False``): cycle and instret terms join
+          the pending chains, one budget gate up front decides whether
+          the whole chunk fits the slice, and exits report
+          ``budget - n`` for the ``n`` instructions consumed;
+        * per instruction (``partial=True``), entered when the closed
+          form does not fit: the budget is checked and decremented
+          before every instruction and each cost is added in its own
+          statement (the interpreter's ``cycles += tab[idx]``), so the
+          slice ends inside compiled code (``_DONE``); branch exits
+          enter the target's closed-form chunk and its gate.
         """
         mf = self.mf
         cpu = self.cpu
         cyc = self.summaries[block].cycles_per_instr(cpu)
         instrs = mf.fn.blocks[block].instrs
         emit, read, write = self.emit, self.read, self.write
-        pend_c, pend_i = self.pend_c, self.pend_i
 
-        # Budget gate: the whole chunk runs in closed form or not at
-        # all — a partial chunk is the exact interpreter's job, which
-        # preserves the 256-instruction slice structure bit for bit.
-        consume = self._chunk_consume(instrs, start)
-        if consume:
-            if self.single:
+        if partial:
+            def cost(term: str) -> None:
+                emit(f"cycles = cycles + {term}")
+
+            def count(term: str) -> None:
+                emit(f"instret = instret + {term}")
+
+            def left(n: int) -> str:
+                return "budget"
+        else:
+            cost, count = self.pend_c.append, self.pend_i.append
+
+            def left(n: int) -> str:
+                return f"budget - {n}"
+
+            # Budget gate: the whole chunk runs in closed form or not
+            # at all, which preserves the slice structure bit for bit.
+            consume = self._chunk_consume(instrs, start)
+            if consume:
                 emit(f"if budget < {consume}:")
-                emit(
-                    f"    _rv = (6, {block!r}, {start}, budget, "
-                    "cycles, instret, extra)"
-                )
-                emit("    break")
-            else:
-                # Not enough slice left for the closed form: switch to
-                # the per-instruction variant of this same chunk, which
-                # finishes the slice in compiled code.
-                pl = self.label_for(block, start, partial=True)
-                emit(f"if budget < {consume}:")
-                emit(f"    _L = {pl}")
-                emit("    continue")
+                if self.single:
+                    # Validating builds and resume stubs leave the
+                    # short-budget tail to the exact interpreter.
+                    emit(
+                        f"    _rv = (6, {block!r}, {start}, budget, "
+                        "cycles, instret, extra)"
+                    )
+                    emit("    break")
+                else:
+                    # Finish the slice in the per-instruction variant
+                    # of this same chunk.
+                    emit(f"    _L = {self.label_for(block, start, True)}")
+                    emit("    continue")
 
         k = start
         while True:
@@ -358,49 +404,50 @@ class _RegionBuilder:
                 # charges its budget/cycles itself.
                 self.flush()
                 emit(f"thread.pc = ({block!r}, {k})")
-                emit(
-                    f"_rv = (1, 0, 0, budget - {k - start}, "
-                    "cycles, instret, extra)"
-                )
+                emit(f"_rv = (1, 0, 0, {left(n - 1)}, cycles, instret, extra)")
                 emit("break")
                 return
 
-            pend_c.append(repr(cyc[k]))
+            if partial:
+                emit("if budget == 0:")
+                emit(f"    thread.pc = ({block!r}, {k})")
+                emit("    _rv = (0, 0, 0, 0, cycles, instret, extra)")
+                emit("    break")
+                emit("budget = budget - 1")
+            cost(repr(cyc[k]))
 
             if cls is BinOp:
                 a = read(instr.a)
                 b = read(instr.b)
                 table = _FLOAT_EXPR if instr.vt.is_float else _INT_EXPR
                 write(instr.dst, table[instr.op].format(a=a, b=b))
-                pend_i.append("1")
+                count("1")
                 k += 1
             elif cls is Load:
                 a = read(instr.addr)
                 t = self.fresh()
                 emit(f"{t} = int({a}) + {instr.offset}")
-                emit(f"if ({t} >> 12) not in _c1:")
-                emit(f"    extra = extra + _dc(thread, {t}, False)")
+                self.resident(t, False)
                 write(instr.dst, f"_mg({t}, 0)")
-                pend_i.append("1")
+                count("1")
                 k += 1
             elif cls is Store:
                 a = read(instr.addr)
                 t = self.fresh()
                 emit(f"{t} = int({a}) + {instr.offset}")
-                emit(f"if ({t} >> 12) not in _c2:")
-                emit(f"    extra = extra + _dc(thread, {t}, True)")
+                self.resident(t, True)
                 s = read(instr.src)
                 emit(f"mem[{t}] = {s}")
-                pend_i.append("1")
+                count("1")
                 k += 1
             elif cls is Const:
                 write(instr.dst, repr(instr.value))
-                pend_i.append("1")
+                count("1")
                 k += 1
             elif cls is UnOp:
                 a = read(instr.a)
                 write(instr.dst, _UNOP_EXPR[instr.op].format(a=a))
-                pend_i.append("1")
+                count("1")
                 k += 1
             elif cls is Work:
                 am = read(instr.amount)
@@ -425,21 +472,23 @@ class _RegionBuilder:
                 k += 1
             elif cls is CBr:
                 c = read(instr.cond)
-                pend_i.append("2")
+                count("2")
                 self.flush()
-                emit(f"budget = budget - {n}")
+                if not partial:
+                    emit(f"budget = budget - {n}")
                 emit(f"if {c}:")
                 self.jump(instr.if_true, 1)
                 self.jump(instr.if_false, 0)
                 return
             elif cls is Br:
-                pend_i.append("1")
+                count("1")
                 self.flush()
-                emit(f"budget = budget - {n}")
+                if not partial:
+                    emit(f"budget = budget - {n}")
                 self.jump(instr.target, 0)
                 return
             elif cls is MigPoint:
-                pend_i.append("5")
+                count("5")
                 self.flush()
                 t = self.fresh()
                 emit(f"{t} = _rt(_tid)")
@@ -451,7 +500,7 @@ class _RegionBuilder:
                 emit(f"if {t} is not None and {t} != _mn:")
                 emit(f"    thread.pc = ({block!r}, {k + 1})")
                 emit(
-                    f"    _rv = (2, {t}, {instr.site_id}, budget - {n}, "
+                    f"    _rv = (2, {t}, {instr.site_id}, {left(n)}, "
                     "cycles, instret, extra)"
                 )
                 emit("    break")
@@ -465,22 +514,17 @@ class _RegionBuilder:
                 iname = self.intern(instr)
                 emit(
                     f"_rv = (3, {iname}, [{', '.join(args)}], "
-                    f"budget - {n}, cycles, instret, extra)"
+                    f"{left(n)}, cycles, instret, extra)"
                 )
                 emit("break")
                 return
             elif cls is Ret:
                 v = read(instr.value) if instr.value is not None else "0"
                 epilogue = len(mf.frame.saved_reg_depths) + 2
-                pend_c.append(
-                    repr(epilogue * cpu.cpi.get(InstrClass.LOAD, 1.0))
-                )
-                pend_i.append(str(3 + epilogue))
+                cost(repr(epilogue * cpu.cpi.get(InstrClass.LOAD, 1.0)))
+                count(str(3 + epilogue))
                 self.flush()
-                emit(
-                    f"_rv = (4, {v}, 0, budget - {n}, "
-                    "cycles, instret, extra)"
-                )
+                emit(f"_rv = (4, {v}, 0, {left(n)}, cycles, instret, extra)")
                 emit("break")
                 return
             elif cls is AddrOf:
@@ -490,15 +534,15 @@ class _RegionBuilder:
                     f"(thread, _mf, frame, {instr.symbol!r})"
                 )
                 write(instr.dst, t)
-                pend_i.append("1")
+                count("1")
                 k += 1
             elif cls is StackAlloc:
                 depth = mf.frame.buffer_depths[instr.name][0]
                 write(instr.dst, f"cfa - {depth}")
-                pend_i.append("1")
+                count("1")
                 k += 1
             elif cls is InlineAsm:
-                pend_i.append(str(instr.instr_estimate))
+                count(str(instr.instr_estimate))
                 k += 1
             else:  # pragma: no cover
                 raise ExecutionError(
@@ -517,173 +561,12 @@ class _RegionBuilder:
                 return k - start + 1
             k += 1
 
-    def gen_partial(self, block: str, start: int) -> None:
-        """Per-instruction variant of a chunk, entered when the
-        remaining budget cannot cover the closed form.
-
-        Steps exactly like ``_interp_slice``: budget checked before
-        every instruction, its static cycle cost added in its own
-        statement (the same addition sequence as the interpreter's
-        ``cycles += tab[idx]``), state updated per instruction.  This
-        is how a slice ends inside compiled code instead of falling
-        back to the interpreter for its tail.  Exit kind 0 means "slice
-        exhausted, pc already stored"; branch exits transfer to the
-        target's *full* chunk, whose budget gate re-dispatches.
-        """
-        mf = self.mf
-        cpu = self.cpu
-        cyc = self.summaries[block].cycles_per_instr(cpu)
-        instrs = mf.fn.blocks[block].instrs
-        emit, read, write = self.emit, self.read, self.write
-
-        k = start
-        while True:
-            instr = instrs[k]
-            cls = instr.__class__
-
-            if cls is Syscall:
-                emit(f"thread.pc = ({block!r}, {k})")
-                emit("_rv = (1, 0, 0, budget, cycles, instret, extra)")
-                emit("break")
-                return
-
-            emit("if budget == 0:")
-            emit(f"    thread.pc = ({block!r}, {k})")
-            emit("    _rv = (0, 0, 0, 0, cycles, instret, extra)")
-            emit("    break")
-            emit("budget = budget - 1")
-            emit(f"cycles = cycles + {cyc[k]!r}")
-
-            if cls is BinOp:
-                a = read(instr.a)
-                b = read(instr.b)
-                table = _FLOAT_EXPR if instr.vt.is_float else _INT_EXPR
-                write(instr.dst, table[instr.op].format(a=a, b=b))
-                emit("instret = instret + 1")
-                k += 1
-            elif cls is Load:
-                a = read(instr.addr)
-                t = self.fresh()
-                emit(f"{t} = int({a}) + {instr.offset}")
-                emit(f"if ({t} >> 12) not in _c1:")
-                emit(f"    extra = extra + _dc(thread, {t}, False)")
-                write(instr.dst, f"_mg({t}, 0)")
-                emit("instret = instret + 1")
-                k += 1
-            elif cls is Store:
-                a = read(instr.addr)
-                t = self.fresh()
-                emit(f"{t} = int({a}) + {instr.offset}")
-                emit(f"if ({t} >> 12) not in _c2:")
-                emit(f"    extra = extra + _dc(thread, {t}, True)")
-                s = read(instr.src)
-                emit(f"mem[{t}] = {s}")
-                emit("instret = instret + 1")
-                k += 1
-            elif cls is Const:
-                write(instr.dst, repr(instr.value))
-                emit("instret = instret + 1")
-                k += 1
-            elif cls is UnOp:
-                a = read(instr.a)
-                write(instr.dst, _UNOP_EXPR[instr.op].format(a=a))
-                emit("instret = instret + 1")
-                k += 1
-            elif cls is Work:
-                am = read(instr.amount)
-                wcls = InstrClass(instr.kind)
-                expansion = mf.isa.expansion(wcls)
-                cpi = cpu.cpi.get(wcls, 1.0)
-                t = self.fresh()
-                emit(f"{t} = {am} * {expansion!r}")
-                emit(f"cycles = cycles + {t} * {cpi!r}")
-                emit(f"instret = instret + {t}")
-                if instr.pages is not None:
-                    p = read(instr.pages)
-                    iname = self.intern(instr)
-                    emit(
-                        f"extra = extra + self._touch_range"
-                        f"(thread, {iname}, int({p}))"
-                    )
-                k += 1
-            elif cls is CBr:
-                c = read(instr.cond)
-                emit("instret = instret + 2")
-                emit(f"if {c}:")
-                self.jump(instr.if_true, 1)
-                self.jump(instr.if_false, 0)
-                return
-            elif cls is Br:
-                emit("instret = instret + 1")
-                self.jump(instr.target, 0)
-                return
-            elif cls is MigPoint:
-                emit("instret = instret + 5")
-                t = self.fresh()
-                emit(f"{t} = _rt(_tid)")
-                emit("if _hk is not None:")
-                emit(
-                    f"    _hk(thread, {mf.name!r}, {instr.point_id}, "
-                    "thread.instructions + instret)"
-                )
-                emit(f"if {t} is not None and {t} != _mn:")
-                emit(f"    thread.pc = ({block!r}, {k + 1})")
-                emit(
-                    f"    _rv = (2, {t}, {instr.site_id}, budget, "
-                    "cycles, instret, extra)"
-                )
-                emit("    break")
-                k += 1
-            elif cls is Call:
-                args = [read(a) for a in instr.args]
-                emit(f"frame.resume = ({block!r}, {k})")
-                emit(f"frame.call_site_id = {instr.site_id}")
-                emit(f"thread.pc = ({block!r}, {k})")
-                iname = self.intern(instr)
-                emit(
-                    f"_rv = (3, {iname}, [{', '.join(args)}], "
-                    "budget, cycles, instret, extra)"
-                )
-                emit("break")
-                return
-            elif cls is Ret:
-                v = read(instr.value) if instr.value is not None else "0"
-                epilogue = len(mf.frame.saved_reg_depths) + 2
-                emit(
-                    "cycles = cycles + "
-                    f"{epilogue * cpu.cpi.get(InstrClass.LOAD, 1.0)!r}"
-                )
-                emit(f"instret = instret + {3 + epilogue}")
-                emit(
-                    f"_rv = (4, {v}, 0, budget, cycles, instret, extra)"
-                )
-                emit("break")
-                return
-            elif cls is AddrOf:
-                t = self.fresh()
-                emit(
-                    f"{t} = self._resolve_symbol"
-                    f"(thread, _mf, frame, {instr.symbol!r})"
-                )
-                write(instr.dst, t)
-                emit("instret = instret + 1")
-                k += 1
-            elif cls is StackAlloc:
-                depth = mf.frame.buffer_depths[instr.name][0]
-                write(instr.dst, f"cfa - {depth}")
-                emit("instret = instret + 1")
-                k += 1
-            elif cls is InlineAsm:
-                emit(f"instret = instret + {instr.instr_estimate}")
-                k += 1
-            else:  # pragma: no cover
-                raise ExecutionError(
-                    f"fast-forward: unknown instruction {cls.__name__}"
-                )
-
     # ----------------------------------------------------------- build
 
     def build(self, entry_block: str, entry_start: int) -> _Region:
+        """Generate, compile and load the region entered at
+        ``(entry_block, entry_start)``; chunks are generated from a
+        worklist until every label they jump to exists."""
         if not self.single:
             # Whole-function build: one label per block, one compile
             # per (machine function, CPU model) for the whole run.
@@ -695,10 +578,7 @@ class _RegionBuilder:
             block, start, partial = self.worklist.pop(0)
             label = self.labels[(block, start, partial)]
             self.lines = []
-            if partial:
-                self.gen_partial(block, start)
-            else:
-                self.gen_chunk(block, start)
+            self.gen_chunk(block, start, partial)
             assert not self.pend_c and not self.pend_i
             chunks.append((label, self.lines))
 
@@ -751,7 +631,7 @@ class _RegionBuilder:
             code = compile(source, filename, "exec")
             _CODE_CACHE[source] = code
         exec(code, self.ns)
-        return _Region(self.ns["_region"], source, entry)
+        return _Region(self.ns["_region"], entry)
 
 
 class FastExecutionEngine(ExecutionEngine):

@@ -62,7 +62,8 @@ def _facts(system, process, engine):
     )
 
 
-def _run(module, kind, start=X86, migrate_at=None, fault_seed=None):
+def _run(module, kind, start=X86, migrate_at=None, fault_seed=None,
+         batch=256):
     """Build + run ``module`` on a fresh testbed with the given engine."""
     binary = Toolchain().build(module)
     system = boot_testbed()
@@ -86,7 +87,7 @@ def _run(module, kind, start=X86, migrate_at=None, fault_seed=None):
             system.request_migration(process, others[0])
 
     hooks.on_migration_point = on_point
-    engine = make_engine(system, process, hooks, engine=kind)
+    engine = make_engine(system, process, hooks, batch=batch, engine=kind)
     engine.run()
     return _facts(system, process, engine), system, process, engine
 
@@ -114,6 +115,28 @@ class TestFastMatchesExact:
     def test_migration_equivalence(self, module_factory, start):
         exact, _, _, _ = _run(module_factory(), "exact", start, migrate_at=1)
         fast, _, _, _ = _run(module_factory(), "fast", start, migrate_at=1)
+        assert fast == exact
+
+    @pytest.mark.parametrize("migrate_at", [None, 3])
+    @pytest.mark.parametrize("batch", [1, 2, 7, 31])
+    @pytest.mark.parametrize(
+        "module_factory",
+        [
+            simple_sum_module,
+            call_chain_module,
+            lambda: build_workload("mg", GOLDEN_CLASS, 2, GOLDEN_SCALE),
+        ],
+        ids=["simple_sum", "call_chain", "mg"],
+    )
+    def test_small_slice_budgets(self, module_factory, batch, migrate_at):
+        # Short slices enter the per-instruction chunk mode from many
+        # offsets and leave through its slice-exhausted exit.
+        exact, _, _, _ = _run(
+            module_factory(), "exact", migrate_at=migrate_at, batch=batch
+        )
+        fast, _, _, _ = _run(
+            module_factory(), "fast", migrate_at=migrate_at, batch=batch
+        )
         assert fast == exact
 
     def test_validating_mode_matches(self, monkeypatch):

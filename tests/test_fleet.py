@@ -571,6 +571,18 @@ class TestWindowPricing:
         assert window.checksum() == reference.checksum()
         assert window == reference
 
+    @pytest.mark.parametrize("cls", [FleetSimulator, ReferenceFleet])
+    def test_latency_equal_to_slo_is_in_slo(self, cls):
+        # slo_factor 1.0 makes the target exactly the job's source-ISA
+        # duration, and a lone arrival at t=0 waits for nothing, so
+        # its latency ties the target: the boundary counts as met.
+        sim = cls(small_config(slo_factor=1.0), quick_policy(),
+                  DeterministicRng(42), service_mix=FAST_MIX)
+        result = sim.run(ArrivalTrace("tie", 600.0, (0.0,)))
+        assert result.jobs_completed == 1
+        assert result.slo_violations == 0
+        assert result.slo_attainment == 1.0
+
     @pytest.mark.parametrize(
         "services", [1, 2, 3, 192, 1500, 1024, 1025, 256, 257]
     )
